@@ -55,6 +55,7 @@ from .errors import (
     ConfigInvalid,
     DivergentGradient,
     IncompletePovm,
+    InsufficientExpected,
     IoFailure,
     UnreachableGuidance,
 )
@@ -148,8 +149,21 @@ def _sigma_grid(spec) -> tuple[float, ...]:
         if steps == 1:
             return (start,)
         width = stop - start
-        return tuple(start + i * width / (steps - 1) for i in range(steps))
+        # The last point is pinned: start + width can round past stop.
+        return tuple(start + i * width / (steps - 1) for i in range(steps - 1)) + (stop,)
     raise ConfigInvalid("sigma", f"expected a number or {{start, stop, steps}}, got {spec!r}")
+
+
+def _is_int(value) -> bool:
+    """A JSON integer; ``bool`` is an ``int`` subclass but not a count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _positive_int(raw: dict, name: str) -> int:
+    value = raw[name]
+    if not _is_int(value) or value < 1:
+        raise ConfigInvalid(name, f"expected a positive integer, got {value!r}")
+    return value
 
 
 def _vector(raw, name: str) -> ProbabilityVector:
@@ -185,9 +199,7 @@ def build_config(raw: dict) -> ExperimentConfig:
         cfg.sigma_spec = raw["sigma"]
         cfg.sigmas = _sigma_grid(raw["sigma"])
     if "trials" in raw:
-        if not isinstance(raw["trials"], int) or raw["trials"] < 1:
-            raise ConfigInvalid("trials", f"expected a positive integer, got {raw['trials']!r}")
-        cfg.trials = raw["trials"]
+        cfg.trials = _positive_int(raw, "trials")
     if "alpha" in raw:
         try:
             cfg.alpha = float(raw["alpha"])
@@ -201,10 +213,10 @@ def build_config(raw: dict) -> ExperimentConfig:
         except (TypeError, ValueError) as err:
             raise ConfigInvalid("noise", str(err)) from None
     if "reps" in raw:
-        if not isinstance(raw["reps"], int) or raw["reps"] < 1:
-            raise ConfigInvalid("reps", f"expected a positive integer, got {raw['reps']!r}")
-        cfg.reps = raw["reps"]
+        cfg.reps = _positive_int(raw, "reps")
     if "seed" in raw:
+        if not _is_int(raw["seed"]):
+            raise ConfigInvalid("seed", f"expected an integer, got {raw['seed']!r}")
         try:
             cfg.seed = validate_seed(raw["seed"])
         except (TypeError, ValueError) as err:
@@ -236,7 +248,7 @@ def build_config(raw: dict) -> ExperimentConfig:
         if (
             not isinstance(sched, list)
             or not sched
-            or not all(isinstance(n, int) and n >= 1 for n in sched)
+            or not all(_is_int(n) and n >= 1 for n in sched)
         ):
             raise ConfigInvalid("n_schedule", "expected a non-empty array of positive integers")
         cfg.n_schedule = tuple(sched)
@@ -312,6 +324,14 @@ def _analytics(row: dict, nature, understanding, sigma):
     return blended
 
 
+def _trials_checked(test, *args, **kwargs):
+    """Run a goodness-of-fit step; too few expected counts is a ``trials`` error."""
+    try:
+        return test(*args, **kwargs)
+    except InsufficientExpected as err:
+        raise ConfigInvalid("trials", f"too few trials for a chi-squared test: {err}") from None
+
+
 def run_distort(config: ExperimentConfig) -> ResultRecord:
     """Blend analytics per sigma: distribution, entropy, gradient, regime."""
     nature = config.require("nature")
@@ -351,7 +371,7 @@ def run_collapse(config: ExperimentConfig) -> ResultRecord:
         sampling = outcome_distribution(povm, state)
         counts = simulate_trials(sampling, trials, derive_seed(seed, i))
         freq = counts.frequencies()
-        report = chi_squared_test(counts, nature, config.alpha)
+        report = _trials_checked(chi_squared_test, counts, nature, config.alpha)
         row = _blank_row(sigma, nature.dimension)
         for j, w in enumerate(freq.weights):
             row[f"p_prime_{j}"] = w
@@ -381,8 +401,8 @@ def run_power(config: ExperimentConfig) -> ResultRecord:
     for i, sigma in enumerate(config.sigmas):
         row = _blank_row(sigma, nature.dimension)
         _analytics(row, nature, understanding, sigma)
-        row["power"] = detection_power(
-            nature, understanding, sigma,
+        row["power"] = _trials_checked(
+            detection_power, nature, understanding, sigma,
             n=trials, alpha=config.alpha, reps=reps,
             seed=derive_seed(seed, i), noise=config.noise,
         )

@@ -14,9 +14,11 @@ measurement noise, which degrades distinguishability symmetrically).
 ``lln_concentration`` demonstrates the weak-law squeeze on sample means
 that motivates the whole exercise.
 
-Seeding: replication r of any estimate uses the derived stream
-``derive_seed(seed, r)``, so replications are order-independent and
-parallel-safe.
+Seeding: ``detection_power`` and ``lln_concentration`` draw their
+replications in blocks of at most ``BLOCK`` rows.  Block b of a power
+estimate samples from ``derive_seed(seed, b)``, block b of schedule entry i
+of a weak-law estimate from ``derive_seed(seed, i, b)``, so blocks are
+order-independent and parallel-safe, and any block replays alone.
 """
 
 from __future__ import annotations
@@ -29,10 +31,19 @@ import numpy as np
 from .distributions import ProbabilityVector, WillStrength, exercise_will
 from .errors import DimensionMismatch, InsufficientExpected
 from .seeding import derive_seed, validate_seed
-from .special import chi_squared_sf
+from .special import chi_squared_isf, chi_squared_sf
 
 # Pearson cells need expected count >= POOL_THRESHOLD; smaller ones pool.
 POOL_THRESHOLD = 5.0
+
+# Replications drawn per seeded block by the Monte Carlo estimators.
+BLOCK = 1024
+
+# Batched statistics within this relative distance of the critical value are
+# re-decided row by row through chi_squared_test, so batched verdicts equal
+# per-row ``p_value < alpha`` despite summation-order rounding (see
+# critical_band for the one case where the band widens).
+CRITICAL_BAND = 1e-6
 
 CONSISTENT = "consistent"
 DEVIATION = "deviation"
@@ -104,16 +115,62 @@ def simulate_trials(dist: ProbabilityVector, n: int, seed: int) -> TrialCounts:
     return TrialCounts(counts=tuple(int(c) for c in counts), total=n, seed=seed)
 
 
+@dataclass(frozen=True)
+class PoolingPlan:
+    """How Pearson's test groups the cells of a null at a fixed total.
+
+    ``kept`` cells are tested on their own, ``pooled`` cells merge into one
+    trailing test cell and ``impossible`` (zero-expected) cells are left
+    out.  ``expected`` holds the expected count of each test cell, pooled
+    cell last.  The plan depends only on the null and the total, so a batch
+    of replications shares one.
+    """
+
+    kept: tuple[int, ...]
+    pooled: tuple[int, ...]
+    impossible: tuple[int, ...]
+    expected: tuple[float, ...]
+    dof: int
+
+
+def pooling_plan(expected: ProbabilityVector, total: int) -> PoolingPlan:
+    """Pool cells with expected count below POOL_THRESHOLD, drop zero-expected ones.
+
+    Raises InsufficientExpected when fewer than two test cells remain.
+    """
+    kept, pooled, impossible = [], [], []
+    cells: list[float] = []
+    pooled_e = 0.0
+    for j, p in enumerate(expected.weights):
+        e = p * total
+        if e == 0.0:
+            impossible.append(j)
+        elif e < POOL_THRESHOLD:
+            pooled.append(j)
+            pooled_e += e
+        else:
+            kept.append(j)
+            cells.append(e)
+    if pooled:
+        cells.append(pooled_e)
+    if len(cells) < 2:
+        raise InsufficientExpected(
+            f"only {len(cells)} cell(s) left after pooling below {POOL_THRESHOLD}; "
+            "need at least 2"
+        )
+    return PoolingPlan(tuple(kept), tuple(pooled), tuple(impossible), tuple(cells), len(cells) - 1)
+
+
 def chi_squared_test(
     observed: TrialCounts, expected: ProbabilityVector, alpha: float
 ) -> TestReport:
     """Pearson goodness-of-fit of observed counts against a null distribution.
 
-    Cells whose expected count falls below POOL_THRESHOLD are pooled into a
-    single cell; zero-expected cells are dropped (any observation landing in
-    one makes the statistic infinite and the p-value 0).  dof is the number
-    of cells actually tested minus one.  Verdict is ``deviation`` iff
-    p-value < alpha.
+    Cells are grouped by ``pooling_plan``: those whose expected count falls
+    below POOL_THRESHOLD are pooled into a single cell; zero-expected cells
+    are dropped (any observation landing in one makes the statistic infinite
+    and the p-value 0).  dof is the number of cells actually tested minus
+    one.  Verdict is ``deviation`` iff p-value < alpha.
     """
     if len(observed.counts) != expected.dimension:
         raise DimensionMismatch(
@@ -121,35 +178,84 @@ def chi_squared_test(
         )
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"significance level must lie in (0, 1), got {alpha}")
+    plan = pooling_plan(expected, observed.total)
 
-    impossible_hits = 0
-    cells: list[tuple[float, float]] = []  # (expected, observed)
-    pooled_e = pooled_o = 0.0
-    for o, p in zip(observed.counts, expected.weights):
-        e = p * observed.total
-        if e == 0.0:
-            impossible_hits += o
-        elif e < POOL_THRESHOLD:
-            pooled_e += e
-            pooled_o += o
-        else:
-            cells.append((e, float(o)))
-    if pooled_e > 0.0:
-        cells.append((pooled_e, pooled_o))
-    if len(cells) < 2:
-        raise InsufficientExpected(
-            f"only {len(cells)} cell(s) left after pooling below {POOL_THRESHOLD}; "
-            "need at least 2"
-        )
-
-    dof = len(cells) - 1
-    if impossible_hits > 0:
+    counts = observed.counts
+    if any(counts[j] for j in plan.impossible):
         statistic, p_value = math.inf, 0.0
     else:
-        statistic = math.fsum((o - e) ** 2 / e for e, o in cells)
-        p_value = chi_squared_sf(statistic, dof)
+        cells = [float(counts[j]) for j in plan.kept]
+        if plan.pooled:
+            cells.append(float(sum(counts[j] for j in plan.pooled)))
+        statistic = math.fsum((o - e) ** 2 / e for e, o in zip(plan.expected, cells))
+        p_value = chi_squared_sf(statistic, plan.dof)
     verdict = DEVIATION if p_value < alpha else CONSISTENT
-    return TestReport(statistic=statistic, p_value=p_value, dof=dof, verdict=verdict)
+    return TestReport(statistic=statistic, p_value=p_value, dof=plan.dof, verdict=verdict)
+
+
+def pearson_statistics(counts: np.ndarray, plan: PoolingPlan) -> np.ndarray:
+    """Pearson statistic of every row of a (rows, cells) count array.
+
+    Rows with a hit on an impossible cell get +inf.  Sums run in numpy's
+    order, so values can differ from ``chi_squared_test`` in the last bits.
+    """
+    observed = counts[:, plan.kept]
+    if plan.pooled:
+        pooled = counts[:, plan.pooled].sum(axis=1, keepdims=True)
+        observed = np.concatenate([observed, pooled], axis=1)
+    expected = np.asarray(plan.expected)
+    statistic = ((observed - expected) ** 2 / expected).sum(axis=1)
+    if plan.impossible:
+        statistic[counts[:, plan.impossible].any(axis=1)] = math.inf
+    return statistic
+
+
+def critical_band(alpha: float, dof: int) -> tuple[float, float]:
+    """Critical value of a level-alpha test and the relative band around it.
+
+    Statistics farther than the band from the critical value are decided
+    by comparison alone.  Below alpha = 1/2 the in-house tail resolves
+    CRITICAL_BAND there.  Above it, near alpha = 1 where sf = 1 - P is flat
+    to rounding, the band edges are checked, and if they do not bracket
+    alpha the band is infinite: every row is decided by chi_squared_test.
+    """
+    critical = chi_squared_isf(alpha, dof)
+    if alpha > 0.5:
+        below = chi_squared_sf(critical * (1.0 - CRITICAL_BAND), dof)
+        above = chi_squared_sf(critical * (1.0 + CRITICAL_BAND), dof)
+        if not below >= alpha > above:
+            return critical, math.inf
+    return critical, CRITICAL_BAND
+
+
+def deviation_verdicts(
+    counts: np.ndarray,
+    expected: ProbabilityVector,
+    alpha: float,
+    plan: PoolingPlan,
+    critical: float,
+    band: float,
+) -> np.ndarray:
+    """Per-row ``chi_squared_test(...).verdict == DEVIATION`` for a count array.
+
+    ``plan`` must be ``pooling_plan(expected, n)`` for the rows' common
+    total n, and ``critical, band`` must be ``critical_band(alpha, plan.dof)``.
+    Rows are decided against the critical value; rows whose statistic lies
+    within the relative band of it are re-decided by ``chi_squared_test``.
+    """
+    statistic = pearson_statistics(counts, plan)
+    deviates = statistic > critical * (1.0 + band)
+    near = ~deviates & (statistic >= critical * (1.0 - band))
+    for r in np.flatnonzero(near):
+        row = counts[r].tolist()
+        report = chi_squared_test(TrialCounts(tuple(row), sum(row), 0), expected, alpha)
+        deviates[r] = report.verdict == DEVIATION
+    return deviates
+
+
+def _blocks(reps: int):
+    """(block index, rows) covering ``reps`` replications in BLOCK-sized blocks."""
+    return enumerate(min(BLOCK, reps - start) for start in range(0, reps, BLOCK))
 
 
 def apply_noise(dist: ProbabilityVector, noise: NoiseLevel | float) -> ProbabilityVector:
@@ -173,7 +279,9 @@ def detection_power(
     """Monte Carlo power of the chi-squared detector against a willed blend.
 
     Each replication samples n trials from the blended distribution and
-    tests them against the baseline (the Born null); the return value is
+    tests them against the baseline (the Born null) with the verdict of
+    ``chi_squared_test``; replications are drawn in seeded blocks (see the
+    module docstring) and tested as arrays.  The return value is
     the fraction of replications declaring deviation.  At sigma = 0 this
     estimates the type-I error rate, so it calibrates to roughly alpha.
 
@@ -183,14 +291,21 @@ def detection_power(
     """
     if reps < 100:
         raise ValueError(f"need at least 100 replications for a stable estimate, got {reps}")
+    if n < 1:
+        raise ValueError(f"trial count must be >= 1, got {n}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"significance level must lie in (0, 1), got {alpha}")
     null = apply_noise(nature, noise)
     alternative = apply_noise(exercise_will(nature, understanding, will), noise)
     seed = validate_seed(seed)
+    plan = pooling_plan(null, n)
+    critical, band = critical_band(alpha, plan.dof)
     hits = 0
-    for r in range(reps):
-        counts = simulate_trials(alternative, n, derive_seed(seed, r))
-        if chi_squared_test(counts, null, alpha).verdict == DEVIATION:
-            hits += 1
+    for b, rows in _blocks(reps):
+        rng = np.random.default_rng(derive_seed(seed, b))
+        counts = rng.multinomial(n, alternative.weights, size=rows)
+        verdicts = deviation_verdicts(counts, null, alpha, plan, critical, band)
+        hits += int(np.count_nonzero(verdicts))
     return hits / reps
 
 
@@ -234,14 +349,17 @@ def lln_concentration(
     values = [float(v) for v in payoff]
     mean, _ = payoff_mean_variance(dist, values)
     seed = validate_seed(seed)
+    schedule = [int(n) for n in n_schedule]
+    for n in schedule:
+        if n < 1:
+            raise ValueError(f"trial count must be >= 1, got {n}")
     out = []
-    for i, n in enumerate(n_schedule):
-        n = int(n)
+    for i, n in enumerate(schedule):
         hits = 0
-        for r in range(reps):
-            counts = simulate_trials(dist, n, derive_seed(seed, i, r))
-            sample_mean = math.fsum(c * v for c, v in zip(counts.counts, values)) / n
-            if abs(sample_mean - mean) > epsilon:
-                hits += 1
+        for b, rows in _blocks(reps):
+            rng = np.random.default_rng(derive_seed(seed, i, b))
+            counts = rng.multinomial(n, dist.weights, size=rows)
+            sample_mean = counts @ values / n
+            hits += int(np.count_nonzero(np.abs(sample_mean - mean) > epsilon))
         out.append((n, hits / reps))
     return out

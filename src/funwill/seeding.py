@@ -1,9 +1,10 @@
 """Deterministic seed derivation for reproducible parallel experiments.
 
-Every stochastic routine takes an explicit 64-bit seed; replication r of a
-run derives its own stream seed from (seed, r, ...) via numpy's
-SeedSequence hashing, so replications are statistically independent, can
-execute in any order or concurrently, and always replay byte-identically.
+Every stochastic routine takes an explicit 64-bit seed; each unit of a run
+(a sigma point, a block of replications) derives its own stream seed from
+(seed, path...) via numpy's SeedSequence hashing, so units are
+statistically independent, can execute in any order or concurrently, and
+always replay byte-identically.
 """
 
 from __future__ import annotations

@@ -6,6 +6,10 @@ fraction for the upper function otherwise.  Relative accuracy is well
 inside 1e-8 over the chi-squared ranges used here (it is close to machine
 precision away from the extreme tails), which keeps the statistics stack
 free of any external dependency.
+
+``chi_squared_isf`` inverts the upper tail: it returns the critical value
+of a level-alpha test, so a batch of statistics can be decided against
+one number instead of one survival-function call each.
 """
 
 from __future__ import annotations
@@ -99,3 +103,61 @@ def chi_squared_sf(statistic: float, dof: int) -> float:
     if math.isinf(statistic):
         return 0.0
     return regularized_gamma_q(dof / 2.0, statistic / 2.0)
+
+
+# A&S 26.2.23 rational approximation of the standard normal upper quantile
+# (absolute error < 4.5e-4): only a starting point for chi_squared_isf.
+_NORMAL_ISF_C = (2.515517, 0.802853, 0.010328)
+_NORMAL_ISF_D = (1.432788, 0.189269, 0.001308)
+
+
+def _normal_isf_start(alpha: float) -> float:
+    p = min(alpha, 1.0 - alpha)
+    t = math.sqrt(-2.0 * math.log(p))
+    c0, c1, c2 = _NORMAL_ISF_C
+    d1, d2, d3 = _NORMAL_ISF_D
+    z = t - (c0 + t * (c1 + t * c2)) / (1.0 + t * (d1 + t * (d2 + t * d3)))
+    return z if alpha <= 0.5 else -z
+
+
+def chi_squared_isf(alpha: float, dof: int) -> float:
+    """Critical value x with chi_squared_sf(x, dof) = alpha.
+
+    Starts from the Wilson-Hilferty approximation and takes Newton steps on
+    log ``chi_squared_sf`` (nearly linear in the far tail), so the root is
+    the one of the in-house survival function, found in a few sf calls over
+    the usual range.  Steps that leave the bracket established by earlier
+    evaluations fall back to bisection, or to doubling while no upper end
+    is known.  Converges to ~1e-12 relative wherever the survival function
+    itself resolves alpha (alpha close to 1 is limited by 1 - P rounding).
+    """
+    if dof < 1:
+        raise ValueError(f"degrees of freedom must be >= 1, got {dof}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"significance level must lie in (0, 1), got {alpha}")
+    k = dof / 2.0
+    log_norm = k * math.log(2.0) + math.lgamma(k)
+    log_alpha = math.log(alpha)
+    h = 2.0 / (9.0 * dof)
+    x = dof * max(1.0 - h + _normal_isf_start(alpha) * math.sqrt(h), 0.1) ** 3
+    lo, hi = 0.0, math.inf
+    for _ in range(_MAX_ITER):
+        sf = chi_squared_sf(x, dof)
+        if sf == alpha:
+            return x
+        if sf > alpha:
+            lo = x
+        else:
+            hi = x
+        step = math.nan
+        if sf > 0.0:
+            log_density = (k - 1.0) * math.log(x) - x / 2.0 - log_norm
+            step = (math.log(sf) - log_alpha) * math.exp(math.log(sf) - log_density)
+        if abs(step) <= 1e-7 * x:
+            return x + step  # quadratic convergence: the error is ~ the step squared
+        x += step
+        if not lo < x < hi:
+            x = 2.0 * lo if math.isinf(hi) else 0.5 * (lo + hi)
+            if hi - lo <= 1e-13 * hi:
+                return x
+    raise ArithmeticError(f"chi-squared quantile failed to converge for alpha={alpha}, dof={dof}")

@@ -4,6 +4,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from funwill.cli import (
@@ -72,6 +73,30 @@ class TestConfigValidation:
     def test_scalar_sigma(self):
         cfg = build_config({**SAINT_CFG, "sigma": 0.5})
         assert cfg.sigmas == (0.5,)
+
+    @pytest.mark.parametrize("field, value", [
+        ("trials", True),
+        ("reps", True),
+        ("seed", True),
+        ("seed", False),
+        ("seed", 3.7),
+        ("seed", "12"),
+        ("n_schedule", [100, True]),
+    ])
+    def test_bool_and_non_integer_counts_rejected(self, field, value):
+        with pytest.raises(ConfigInvalid) as exc:
+            build_config({**SAINT_CFG, field: value})
+        assert exc.value.field == field
+
+    def test_sweep_endpoints_pinned_over_random_sweeps(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(10_000):
+            start, stop = sorted(rng.random(2).tolist())
+            steps = int(rng.integers(2, 200))
+            grid = build_config({"sigma": {"start": start, "stop": stop, "steps": steps}}).sigmas
+            assert len(grid) == steps
+            assert grid[0] == start and grid[-1] == stop
+            assert all(a <= b for a, b in zip(grid, grid[1:]))
 
     def test_dimension_cross_check(self):
         with pytest.raises(ConfigInvalid):
@@ -175,7 +200,9 @@ class TestRunCollapse:
 
 class TestRunPower:
     def test_null_row_calibrates_to_alpha(self):
-        cfg = build_config({**SAINT_CFG, "sigma": 0.0, "reps": 300, "seed": 2})
+        # The exact size of this two-outcome test at n=1000 is 0.0537, so
+        # 2000 reps keep both window edges at least 3.2 Monte Carlo SE away.
+        cfg = build_config({**SAINT_CFG, "sigma": 0.0, "reps": 2000, "seed": 2})
         assert 0.03 <= run_power(cfg).rows[0]["power"] <= 0.07
 
     def test_rows_monotone_in_sigma(self):
@@ -307,6 +334,14 @@ class TestMain:
         doc = {**SAINT_CFG, "nature": [0.0, 1.0], "sigma": 0.5, "out": str(tmp_path / "m.csv")}
         cfg_path = write_cfg(tmp_path, doc)
         assert main(["collapse", "--config", cfg_path, "--quiet"]) == 3
+
+    @pytest.mark.parametrize("command", ["collapse", "power"])
+    def test_too_few_trials_exit_code(self, tmp_path, caplog, command):
+        cfg_path = write_cfg(tmp_path, {**SAINT_CFG, "trials": 3})
+        out = str(tmp_path / "t.csv")
+        assert main([command, "--config", cfg_path, "--out", out]) == 2
+        assert "config error: trials:" in caplog.text
+        assert not os.path.exists(out)
 
     def test_io_error_exit_code(self, tmp_path):
         cfg_path = write_cfg(tmp_path, SAINT_CFG)

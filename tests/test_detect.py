@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from funwill import detect
 from funwill.detect import (
+    BLOCK,
     CONSISTENT,
+    CRITICAL_BAND,
     DEVIATION,
     NoiseLevel,
     TestReport,
@@ -14,8 +17,12 @@ from funwill.detect import (
     apply_noise,
     chebyshev_bound,
     chi_squared_test,
+    critical_band,
     detection_power,
+    deviation_verdicts,
     lln_concentration,
+    pearson_statistics,
+    pooling_plan,
     simulate_trials,
 )
 from funwill.distributions import exercise_will, make_distribution, uniform_distribution
@@ -217,3 +224,165 @@ def test_trial_counts_validation():
         TrialCounts((5, -1), 4, 0)
     with pytest.raises(ValueError):
         TrialCounts((5, 5), 11, 0)
+
+
+def per_row_verdicts(counts, null, alpha):
+    n = int(counts[0].sum())
+    return np.array([
+        chi_squared_test(TrialCounts(tuple(row), n, 0), null, alpha).verdict == DEVIATION
+        for row in counts.tolist()
+    ])
+
+
+# (null, sampling distribution, n, alpha, rows).  Every null pools at least
+# one cell at its n; the second also has an impossible cell that the
+# sampling distribution hits now and then.
+EQUIVALENCE_CASES = [
+    (apply_noise(make_distribution([0.35, 0.30, 0.20, 0.14, 0.007, 0.003]), 0.01),
+     make_distribution([0.34, 0.29, 0.20, 0.15, 0.012, 0.008]), 1000, 0.05, 40_000),
+    (make_distribution([0.5, 0.42, 0.06, 0.02, 0.0]),
+     make_distribution([0.5, 0.4189, 0.06, 0.02, 0.0011]), 200, 0.01, 30_000),
+    (make_distribution([0.02] * 8 + [0.105] * 8),
+     make_distribution([0.021] * 8 + [0.104] * 8), 200, 0.1, 30_000),
+]
+
+
+class TestBatchedVerdicts:
+    @pytest.mark.parametrize("case", range(len(EQUIVALENCE_CASES)))
+    def test_match_per_row_chi_squared_test(self, case):
+        null, sampling, n, alpha, rows = EQUIVALENCE_CASES[case]
+        counts = np.random.default_rng(case).multinomial(n, sampling.weights, size=rows)
+        plan = pooling_plan(null, n)
+        assert plan.pooled
+        batched = deviation_verdicts(counts, null, alpha, plan, *critical_band(alpha, plan.dof))
+        exact = per_row_verdicts(counts, null, alpha)
+        assert np.array_equal(batched, exact)
+        assert 0.01 < exact.mean() < 0.99  # verdicts fall on both sides
+        if plan.impossible:
+            assert np.isinf(pearson_statistics(counts, plan)).any()
+
+    def test_rows_forced_into_the_band(self):
+        # alpha set to a row's own p-value puts that row's statistic on the
+        # critical value: p < alpha is false there, and true one ulp above.
+        null, sampling, n, _, _ = EQUIVALENCE_CASES[0]
+        counts = np.random.default_rng(99).multinomial(n, sampling.weights, size=2000)
+        plan = pooling_plan(null, n)
+        statistic = pearson_statistics(counts, plan)
+        forced = 0
+        for r in range(0, 2000, 200):
+            p_value = chi_squared_test(TrialCounts(tuple(counts[r]), n, 0), null, 0.5).p_value
+            if not 0.0 < p_value < 1.0:
+                continue
+            forced += 1
+            for alpha in (p_value, math.nextafter(p_value, 1.0)):
+                critical, band = critical_band(alpha, plan.dof)
+                assert band == CRITICAL_BAND
+                assert abs(statistic[r] - critical) <= band * critical
+                batched = deviation_verdicts(counts, null, alpha, plan, critical, band)
+                assert np.array_equal(batched, per_row_verdicts(counts, null, alpha))
+                assert batched[r] == (alpha > p_value)
+        assert forced >= 8
+
+    def test_impossible_hit_is_a_deviation(self):
+        null = make_distribution([0.5, 0.5, 0.0])
+        counts = np.array([[50, 49, 1], [50, 50, 0]])
+        plan = pooling_plan(null, 100)
+        assert plan.impossible == (2,)
+        got = deviation_verdicts(counts, null, 0.05, plan, *critical_band(0.05, plan.dof))
+        assert got.tolist() == [True, False]
+
+    def test_alpha_next_to_one_falls_back_to_exact_tests(self):
+        # (500, 500) against a null 2e-13 off one half has a statistic near
+        # 1.6e-22 and a p-value near 1 - 1e-11, where sf = 1 - P is flat to
+        # rounding over more than the 1e-6 band: the critical value alone
+        # misjudges that row at alpha = p_value, so every row must go to
+        # chi_squared_test.
+        null = make_distribution([0.5 + 2e-13, 0.5 - 2e-13])
+        counts = np.array([[500, 500], [499, 501], [500, 500], [501, 499]])
+        plan = pooling_plan(null, 1000)
+        p_value = chi_squared_test(TrialCounts((500, 500), 1000, 0), null, 0.5).p_value
+        assert 1.0 - 1e-9 < p_value < 1.0
+        for alpha in (p_value, math.nextafter(p_value, 1.0)):
+            _, band = critical_band(alpha, plan.dof)
+            assert band == math.inf
+            batched = deviation_verdicts(counts, null, alpha, plan, *critical_band(alpha, plan.dof))
+            assert np.array_equal(batched, per_row_verdicts(counts, null, alpha))
+            assert batched.tolist() == [alpha > p_value, True, alpha > p_value, True]
+
+    def test_plan_is_the_rule_chi_squared_test_uses(self):
+        null = make_distribution([0.90, 0.06, 0.02, 0.02, 0.0])
+        plan = pooling_plan(null, 100)
+        assert (plan.kept, plan.pooled, plan.impossible) == ((0, 1), (2, 3), (4,))
+        assert plan.expected == pytest.approx((90.0, 6.0, 4.0)) and plan.dof == 2
+        with pytest.raises(InsufficientExpected):
+            pooling_plan(FAIR, 6)
+
+
+def reference_power(nature, understanding, sigma, n, alpha, reps, seed):
+    """detection_power spelled out: one chi_squared_test per row of each block."""
+    alt = exercise_will(nature, understanding, sigma)
+    hits = 0
+    for b, start in enumerate(range(0, reps, BLOCK)):
+        rows = min(BLOCK, reps - start)
+        counts = np.random.default_rng(derive_seed(seed, b)).multinomial(n, alt.weights, size=rows)
+        hits += int(per_row_verdicts(counts, nature, alpha).sum())
+    return hits / reps
+
+
+class TestBlockStreams:
+    def test_power_matches_per_row_reference(self):
+        reps = 2 * BLOCK + 452  # two full blocks and a partial one
+        args = (FAIR, ETHICAL, 0.05, 1000, 0.05, reps, 17)
+        assert detection_power(*args) == reference_power(*args)
+
+    def test_lln_uses_seed_schedule_block_path(self):
+        reps = BLOCK + 76
+        payoff = [1.0, 0.0]
+        got = lln_concentration(FAIR, payoff, 0.02, [100, 2500], reps=reps, seed=23)
+        for i, (n, est) in enumerate(got):
+            hits = 0
+            for b, start in enumerate(range(0, reps, BLOCK)):
+                rng = np.random.default_rng(derive_seed(23, i, b))
+                counts = rng.multinomial(n, FAIR.weights, size=min(BLOCK, reps - start))
+                hits += sum(abs(c[0] / n - 0.5) > 0.02 for c in counts.tolist())
+            assert est == hits / reps
+
+
+def _no_sampling(*args):
+    raise AssertionError("sampling started before validation finished")
+
+
+class TestValidationBeforeSampling:
+    POWER = dict(nature=FAIR, understanding=ETHICAL, will=0.3, n=1000, alpha=0.05, reps=200, seed=1)
+
+    @pytest.mark.parametrize("bad, error", [
+        (dict(reps=99), ValueError),
+        (dict(n=0), ValueError),
+        (dict(alpha=0.0), ValueError),
+        (dict(alpha=1.0), ValueError),
+        (dict(seed=-1), ValueError),
+        (dict(seed=2**64), ValueError),
+        (dict(will=1.5), ValueError),
+        (dict(noise=-0.1), ValueError),
+        (dict(understanding=uniform_distribution(3)), DimensionMismatch),
+        (dict(n=6), InsufficientExpected),
+    ])
+    def test_detection_power(self, monkeypatch, bad, error):
+        monkeypatch.setattr(detect, "derive_seed", _no_sampling)
+        with pytest.raises(error):
+            detection_power(**{**self.POWER, **bad})
+
+    LLN = dict(dist=FAIR, payoff=[1.0, 0.0], epsilon=0.1, n_schedule=[100, 1000], reps=100, seed=1)
+
+    @pytest.mark.parametrize("bad, error", [
+        (dict(epsilon=0.0), ValueError),
+        (dict(reps=0), ValueError),
+        (dict(seed=-1), ValueError),
+        (dict(seed=2**64), ValueError),
+        (dict(payoff=[1.0, 0.0, 2.0]), DimensionMismatch),
+        (dict(n_schedule=[100, 0]), ValueError),
+    ])
+    def test_lln_concentration(self, monkeypatch, bad, error):
+        monkeypatch.setattr(detect, "derive_seed", _no_sampling)
+        with pytest.raises(error):
+            lln_concentration(**{**self.LLN, **bad})

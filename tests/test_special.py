@@ -14,7 +14,12 @@ import math
 
 import pytest
 
-from funwill.special import chi_squared_sf, regularized_gamma_p, regularized_gamma_q
+from funwill.special import (
+    chi_squared_isf,
+    chi_squared_sf,
+    regularized_gamma_p,
+    regularized_gamma_q,
+)
 
 
 def oracle_gamma_q(a: float, x: float) -> float:
@@ -86,3 +91,47 @@ def test_invalid_arguments():
         regularized_gamma_q(0.0, 1.0)
     with pytest.raises(ValueError):
         regularized_gamma_p(1.0, -0.5)
+
+
+# Cross-checks against scipy, an independent implementation.  scipy is a
+# test-only oracle; these tests skip where it is not installed.
+ORACLE_DOFS = [1, 2, 3, 4, 5, 7, 10, 15, 30, 60, 100, 300, 1000]
+ORACLE_ALPHAS = [1e-300, 1e-100, 1e-12, 1e-6, 1e-3, 0.01, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999]
+
+
+@pytest.mark.parametrize("dof", ORACLE_DOFS)
+def test_chi_squared_sf_matches_scipy_gammaincc(dof):
+    special = pytest.importorskip("scipy.special")
+    stats = [1e-8, 1e-3, 0.1, 0.5, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0, 1400.0, 3000.0]
+    stats += [dof * f for f in (0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 4.0)]
+    for x in stats:
+        expected = float(special.gammaincc(dof / 2.0, x / 2.0))
+        got = chi_squared_sf(x, dof)
+        if expected > 1e-290:
+            assert got == pytest.approx(expected, rel=1e-8), (dof, x)
+        else:
+            assert got <= 1e-280, (dof, x, got)
+
+
+@pytest.mark.parametrize("dof", ORACLE_DOFS)
+def test_chi_squared_isf_matches_scipy(dof):
+    stats = pytest.importorskip("scipy.stats")
+    for alpha in ORACLE_ALPHAS:
+        critical = chi_squared_isf(alpha, dof)
+        assert critical == pytest.approx(float(stats.chi2.isf(alpha, dof)), rel=1e-9), (dof, alpha)
+
+
+@pytest.mark.parametrize("dof", [1, 2, 5, 30])
+def test_chi_squared_isf_inverts_the_in_house_tail(dof):
+    for alpha in ORACLE_ALPHAS:
+        critical = chi_squared_isf(alpha, dof)
+        assert chi_squared_sf(critical * (1.0 - 1e-8), dof) >= alpha, (dof, alpha)
+        assert chi_squared_sf(critical * (1.0 + 1e-8), dof) < alpha, (dof, alpha)
+
+
+def test_chi_squared_isf_validates():
+    for alpha in (0.0, 1.0, -0.1, 1.5):
+        with pytest.raises(ValueError):
+            chi_squared_isf(alpha, 3)
+    with pytest.raises(ValueError):
+        chi_squared_isf(0.05, 0)
