@@ -10,6 +10,7 @@ from .collapse import (
     build_povm,
     check_completeness,
     collapse,
+    collapse_many,
     outcome_distribution,
     prepare_state,
 )
@@ -69,6 +70,7 @@ __all__ = [
     "choose",
     "classify_regime",
     "collapse",
+    "collapse_many",
     "derive_seed",
     "detection_power",
     "entropy_gradient",

@@ -20,9 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
+from .collapse import _pick
 from .distributions import (
     ChoiceSpace,
     ProbabilityVector,
@@ -59,6 +61,11 @@ class AgentProfile:
     def effective(self) -> ProbabilityVector:
         """The blended distribution the agent actually samples from."""
         return exercise_will(self.nature, self.understanding, self.will)
+
+    @cached_property
+    def cumulative(self) -> tuple[float, ...]:
+        """Running sums of ``effective``, the inverse-CDF table ``choose`` samples."""
+        return tuple(accumulate(self.effective.weights))
 
 
 def archetype(
@@ -104,15 +111,7 @@ def archetype(
 
 def choose(agent: AgentProfile, rng: np.random.Generator) -> str:
     """Sample one outcome label from the agent's effective distribution."""
-    u = rng.random()
-    acc = 0.0
-    index = agent.space.dimension - 1
-    for j, w in enumerate(agent.effective.weights):
-        acc += w
-        if u < acc:
-            index = j
-            break
-    return agent.space.labels[index]
+    return agent.space.labels[_pick(agent.cumulative, rng.random())]
 
 
 def agent_unpredictability(agent: AgentProfile) -> float:

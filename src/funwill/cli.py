@@ -24,6 +24,7 @@ or incomplete measurement set), 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import logging
@@ -45,7 +46,7 @@ from .detect import (
 from .distributions import (
     ChoiceSpace,
     ProbabilityVector,
-    classify_regime,
+    _regime,
     entropy_gradient,
     exercise_will,
     make_distribution,
@@ -319,9 +320,8 @@ def _analytics(row: dict, nature, understanding, sigma):
     try:
         row["dh_dsigma"] = entropy_gradient(nature, understanding, sigma)
     except DivergentGradient as err:
-        row["dh_dsigma"] = math.inf if err.sign > 0 else -math.inf
-    row["regime"] = classify_regime(nature, understanding, sigma)
-    return blended
+        row["dh_dsigma"] = math.copysign(math.inf, err.sign)
+    row["regime"] = _regime(row["dh_dsigma"])
 
 
 def _trials_checked(test, *args, **kwargs):
@@ -471,7 +471,10 @@ def emit(record: ResultRecord, path: str, fmt: str) -> str:
     """Write a record as CSV or JSON; floats carry 12 significant digits.
 
     Serialized rows are re-validated: any p_prime row must still sum to 1
-    within 1e-9 after rounding.
+    within 1e-9 after rounding.  The text goes to a temporary file in the
+    destination directory, which is then renamed onto ``path``: a failed
+    write removes the temporary file and leaves any existing ``path`` as
+    it was.
     """
     if fmt not in ("csv", "json"):
         raise ConfigInvalid("format", f"expected 'csv' or 'json', got {fmt!r}")
@@ -481,11 +484,18 @@ def emit(record: ResultRecord, path: str, fmt: str) -> str:
         if written and abs(math.fsum(written) - 1.0) > 1e-9:
             raise ValueError(f"serialized p_prime row sums to {math.fsum(written)!r}, not 1")
     text = render_csv(record) if fmt == "csv" else render_json(record)
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open(tmp, "x", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    except OSError as err:
-        raise IoFailure(f"cannot write {path}: {err}") from None
+        os.replace(tmp, path)
+    except BaseException as err:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        if isinstance(err, OSError):
+            raise IoFailure(f"cannot write {path}: {err}") from None
+        raise
     return path
 
 

@@ -11,7 +11,8 @@ The pipeline has three steps:
    what makes the measurement nonlinear.  At sigma = 0 every c_j is 1 and
    the measurement is an ordinary projective one.
 3. ``collapse``       — sample outcome j with probability (c_j a_j)^2 and
-   project onto the basis vector |j>.
+   project onto the basis vector |j>; ``collapse_many`` draws many outcome
+   indices at once by the same inverse-CDF rule.
 
 Sampling outcome probabilities from a state prepared from P reproduces the
 classical blend exactly: (c_j a_j)^2 = sigma*u_j + (1-sigma)*p_j.  With
@@ -26,8 +27,11 @@ unobservable here anyway.
 
 from __future__ import annotations
 
+import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -61,8 +65,13 @@ class AmplitudeState:
         return len(self.amplitudes)
 
     @classmethod
+    @functools.lru_cache(maxsize=1024)
     def basis(cls, index: int, dimension: int) -> "AmplitudeState":
-        """The basis vector |index> in the given dimension."""
+        """The basis vector |index> in the given dimension.
+
+        Memoized: each basis state is validated once and then shared, which
+        is safe because the class is frozen.
+        """
         if not 0 <= index < dimension:
             raise ValueError(f"basis index {index} out of range for dimension {dimension}")
         return cls(tuple(1.0 if j == index else 0.0 for j in range(dimension)))
@@ -168,6 +177,44 @@ def check_completeness(povm: PovmSet, state: AmplitudeState) -> float:
     return abs(total - 1.0)
 
 
+def _outcome_weights(povm: PovmSet, state: AmplitudeState) -> list[float]:
+    """Validated outcome probabilities q_j = (c_j a_j)^2 / sum_k (c_k a_k)^2.
+
+    Raises DimensionMismatch, or IncompletePovm when the completeness
+    residual exceeds COMPLETENESS_TOL.
+    """
+    if povm.dimension != state.dimension:
+        raise DimensionMismatch(
+            f"povm has dimension {povm.dimension}, state {state.dimension}"
+        )
+    raw = [(c * a) ** 2 for c, a in zip(povm.coefficients, state.amplitudes)]
+    total = math.fsum(raw)
+    residual = abs(total - 1.0)
+    if residual > COMPLETENESS_TOL:
+        raise IncompletePovm(
+            f"completeness residual {residual:.3e} exceeds {COMPLETENESS_TOL:.0e}; "
+            "this measurement set was not built for this state",
+            residual=residual,
+        )
+    return [q / total for q in raw]
+
+
+def _pick(cdf, u: float) -> int:
+    """Inverse-CDF lookup: the first j with u < cdf[j], else the last outcome.
+
+    The fallback catches u at or above a cumulative total that rounding
+    left just below 1.
+    """
+    return min(bisect_right(cdf, u), len(cdf) - 1)
+
+
+def _draw_count(size) -> int:
+    """``size`` as an int; bool, non-integer and negative counts are rejected."""
+    if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 0:
+        raise ValueError(f"size must be a nonnegative integer, got {size!r}")
+    return int(size)
+
+
 def outcome_distribution(povm: PovmSet, state: AmplitudeState) -> ProbabilityVector:
     """Outcome probabilities q_j = (c_j a_j)^2 of measuring ``state``.
 
@@ -176,16 +223,7 @@ def outcome_distribution(povm: PovmSet, state: AmplitudeState) -> ProbabilityVec
     applied to prepare_state(P), q equals the classical blend
     sigma*U + (1-sigma)*P to within float rounding.
     """
-    residual = check_completeness(povm, state)
-    if residual > COMPLETENESS_TOL:
-        raise IncompletePovm(
-            f"completeness residual {residual:.3e} exceeds {COMPLETENESS_TOL:.0e}; "
-            "this measurement set was not built for this state",
-            residual=residual,
-        )
-    raw = [(c * a) ** 2 for c, a in zip(povm.coefficients, state.amplitudes)]
-    total = math.fsum(raw)
-    return ProbabilityVector(tuple(q / total for q in raw))
+    return ProbabilityVector(tuple(_outcome_weights(povm, state)))
 
 
 def collapse(
@@ -198,13 +236,22 @@ def collapse(
     vector |j> (each operator is rank-one diagonal).  No global randomness:
     reproducibility is entirely the caller's seed discipline.
     """
-    dist = outcome_distribution(povm, state)
-    u = rng.random()
-    acc = 0.0
-    index = dist.dimension - 1
-    for j, q in enumerate(dist.weights):
-        acc += q
-        if u < acc:
-            index = j
-            break
-    return CollapseOutcome(index=index, post_state=AmplitudeState.basis(index, dist.dimension))
+    weights = _outcome_weights(povm, state)
+    index = _pick(list(accumulate(weights)), rng.random())
+    return CollapseOutcome(index=index, post_state=AmplitudeState.basis(index, len(weights)))
+
+
+def collapse_many(
+    povm: PovmSet, state: AmplitudeState, rng: np.random.Generator, size: int
+) -> np.ndarray:
+    """Outcome indices of ``size`` directed collapses, as an integer array.
+
+    Validates once, then consumes exactly ``size`` uniforms from ``rng``:
+    the result equals the indices of ``size`` sequential ``collapse`` calls
+    on the same generator (the cumulative sum accumulates in the same order,
+    and ``Generator.random(size)`` yields the same doubles as repeated
+    scalar calls).
+    """
+    size = _draw_count(size)
+    cdf = np.cumsum(_outcome_weights(povm, state))
+    return np.minimum(np.searchsorted(cdf, rng.random(size), side="right"), len(cdf) - 1)

@@ -225,7 +225,12 @@ def classify_regime(
     try:
         grad = entropy_gradient(nature, understanding, will)
     except DivergentGradient as err:
-        return UNCERTAINTY_INCREASING if err.sign > 0 else CERTAINTY_INCREASING
+        grad = math.copysign(math.inf, err.sign)
+    return _regime(grad)
+
+
+def _regime(grad: float) -> str:
+    """Regime label of a gradient; a divergence is passed as +/-inf."""
     if grad < -REGIME_TOL:
         return CERTAINTY_INCREASING
     if grad > REGIME_TOL:

@@ -12,7 +12,13 @@ so unpredictability alone cannot reveal how much will an agent has.
 import numpy as np
 import pytest
 
-from funwill.agents import AgentProfile, agent_unpredictability, archetype, choose
+from funwill.agents import (
+    ARCHETYPE_KINDS,
+    AgentProfile,
+    agent_unpredictability,
+    archetype,
+    choose,
+)
 from funwill.detect import chi_squared_test, TrialCounts
 from funwill.distributions import (
     ChoiceSpace,
@@ -140,6 +146,43 @@ class TestChoose:
         report = chi_squared_test(observed, agent.effective, alpha=0.001)
         assert report.p_value > 0.001
         assert report.verdict == "consistent"
+
+
+def _reference_choose(agent, rng):
+    """The original sequential accumulate loop, kept as an oracle."""
+    u = rng.random()
+    acc = 0.0
+    index = agent.space.dimension - 1
+    for j, w in enumerate(agent.effective.weights):
+        acc += w
+        if u < acc:
+            index = j
+            break
+    return agent.space.labels[index]
+
+
+@pytest.mark.parametrize("kind", ARCHETYPE_KINDS)
+def test_choose_matches_reference_loop(kind):
+    nature = make_distribution([0.1, 0.0, 0.6, 0.3]) if kind == "particle" else None
+    agent = archetype(kind, nature=nature)
+    for seed in (0, 1, 31337):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert [choose(agent, rng) for _ in range(5000)] == [
+            _reference_choose(agent, ref) for _ in range(5000)
+        ]
+
+
+def test_choose_on_cumulative_boundaries():
+    """u equal to a running sum picks the next label; at the total, the last."""
+    class FixedUniform:
+        def random(self):
+            return value
+
+    for kind in ("saint", "hardcore_criminal"):
+        agent = archetype(kind)
+        for value in agent.cumulative:
+            assert choose(agent, FixedUniform()) == _reference_choose(agent, FixedUniform())
+        assert choose(agent, FixedUniform()) == agent.space.labels[-1]
 
 
 def test_effective_distribution_cached_and_immutable():

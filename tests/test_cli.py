@@ -20,7 +20,8 @@ from funwill.cli import (
     run_lln,
     run_power,
 )
-from funwill.errors import ConfigInvalid
+from funwill.distributions import classify_regime, make_distribution
+from funwill.errors import ConfigInvalid, IoFailure
 
 SAINT_CFG = {
     "labels": ["good", "evil"],
@@ -149,6 +150,24 @@ class TestRunDistort:
         assert (row["p_prime_0"], row["p_prime_1"], row["p_prime_2"]) == pytest.approx(
             (0.375, 0.375, 0.25), abs=1e-15
         )
+
+    def test_one_gradient_per_row(self, monkeypatch):
+        """The regime comes from the row's own gradient, not a second blend."""
+        from funwill import cli, distributions
+
+        calls = []
+        for module in (cli, distributions):
+            original = module.entropy_gradient
+            monkeypatch.setattr(
+                module, "entropy_gradient",
+                lambda *args, _f=original: calls.append(1) or _f(*args),
+            )
+        rec = run_distort(build_config(SAINT_CFG))
+        assert len(calls) == len(rec.rows) == 11
+        assert [row["regime"] for row in rec.rows] == [
+            classify_regime(make_distribution([0.5, 0.5]), make_distribution([1.0, 0.0]), s)
+            for s in (row["sigma"] for row in rec.rows)
+        ]
 
     def test_detector_columns_stay_empty(self):
         rec = run_distort(build_config(SAINT_CFG))
@@ -289,10 +308,45 @@ class TestEmit:
             emit(rec, str(tmp_path / "bad.csv"), "csv")
 
     def test_unwritable_path_raises_io_failure(self, tmp_path):
-        from funwill.errors import IoFailure
         rec = ResultRecord("x", {}, ["sigma"], [])
         with pytest.raises(IoFailure):
             emit(rec, str(tmp_path / "no" / "such" / "dir.csv"), "csv")
+
+    @pytest.mark.parametrize("stage", ["write", "replace"])
+    def test_failed_write_keeps_old_output_and_leaves_no_temp(self, tmp_path, monkeypatch, stage):
+        from funwill import cli
+
+        target = tmp_path / "out.csv"
+        target.write_text("previous run\n")
+        if stage == "write":
+            real_open = open
+
+            def failing_open(path, *args, **kwargs):
+                fh = real_open(path, *args, **kwargs)
+                fh.write("partial")
+                fh.flush()
+                fh.close()
+                raise OSError(28, "No space left on device")
+
+            monkeypatch.setattr(cli, "open", failing_open, raising=False)
+        else:
+            def failing_replace(src, dst):
+                raise OSError(13, "Permission denied")
+
+            monkeypatch.setattr(cli.os, "replace", failing_replace)
+        rec = run_distort(build_config(SAINT_CFG))
+        with pytest.raises(IoFailure):
+            emit(rec, str(target), "csv")
+        assert target.read_text() == "previous run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+    def test_replaces_existing_output(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_text("previous run\n")
+        rec = run_distort(build_config(SAINT_CFG))
+        emit(rec, str(target), "csv")
+        assert target.read_text() == render_csv(rec)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
 
 
 class TestMain:

@@ -1,6 +1,7 @@
 """Directed-collapse pipeline: state prep, nonlinear measurement, sampling."""
 
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from funwill.collapse import (
     build_povm,
     check_completeness,
     collapse,
+    collapse_many,
     outcome_distribution,
     prepare_state,
 )
@@ -186,9 +188,7 @@ class TestCollapse:
         q = outcome_distribution(povm, state).weights
         n = 1_000_000
         rng = np.random.default_rng(2718)
-        counts = [0, 0, 0]
-        for _ in range(n):
-            counts[collapse(povm, state, rng).index] += 1
+        counts = np.bincount(collapse_many(povm, state, rng, n), minlength=3)
         for j, qj in enumerate(q):
             slack = 4.0 * math.sqrt(qj * (1.0 - qj) / n)
             assert abs(counts[j] / n - qj) <= slack, (j, counts[j] / n, qj)
@@ -204,3 +204,127 @@ def test_collapse_outcome_validates_basis():
         CollapseOutcome(index=0, post_state=AmplitudeState((0.5, 0.5)))
     with pytest.raises(ValueError):
         CollapseOutcome(index=1, post_state=AmplitudeState((1.0, 0.0)))
+
+
+class _FixedUniform:
+    """Generator stand-in whose ``random`` always returns one value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, size=None):
+        return self.value if size is None else np.full(size, self.value)
+
+
+def _sampler_cases():
+    """(povm, state) pairs: random triples, plus one with a zero-probability outcome."""
+    rng = np.random.default_rng(5)
+    cases = []
+    for _ in range(4):
+        n = int(rng.integers(2, 17))
+        p, u = random_positive_dist(rng, n), random_positive_dist(rng, n)
+        cases.append((build_povm(p, u, float(rng.random())), prepare_state(p)))
+    p = make_distribution([0.2, 0.0, 0.3, 0.5])
+    u = make_distribution([0.6, 0.0, 0.0, 0.4])
+    cases.append((build_povm(p, u, 0.7), prepare_state(p)))
+    return cases
+
+
+def _reference_collapse_index(povm, state, rng):
+    """The original sequential accumulate loop, kept as an oracle."""
+    weights = outcome_distribution(povm, state).weights
+    u = rng.random()
+    acc = 0.0
+    for j, q in enumerate(weights):
+        acc += q
+        if u < acc:
+            return j
+    return len(weights) - 1
+
+
+class TestSampler:
+    @pytest.mark.parametrize("seed", [0, 1, 2718])
+    def test_collapse_matches_reference_loop(self, seed):
+        for povm, state in _sampler_cases():
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert [collapse(povm, state, rng).index for _ in range(2000)] == [
+                _reference_collapse_index(povm, state, ref) for _ in range(2000)
+            ]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2718, 2**63 + 5])
+    def test_equals_sequential_collapse_calls(self, seed):
+        for povm, state in _sampler_cases():
+            many = collapse_many(povm, state, np.random.default_rng(seed), 3000)
+            rng = np.random.default_rng(seed)
+            one_by_one = [collapse(povm, state, rng).index for _ in range(3000)]
+            assert many.tolist() == one_by_one
+
+    def test_zero_probability_outcome_never_drawn(self):
+        povm, state = _sampler_cases()[-1]
+        assert 1 not in collapse_many(povm, state, np.random.default_rng(9), 20_000)
+
+    def test_consumes_exactly_size_uniforms(self):
+        povm, state = _sampler_cases()[0]
+        rng = np.random.default_rng(17)
+        collapse_many(povm, state, rng, 777)
+        reference = np.random.default_rng(17)
+        reference.random(777)
+        assert rng.random() == reference.random()
+
+    def test_size_zero_is_empty(self):
+        povm, state = _sampler_cases()[0]
+        rng = np.random.default_rng(3)
+        out = collapse_many(povm, state, rng, 0)
+        assert out.shape == (0,)
+        assert np.issubdtype(out.dtype, np.integer)
+        assert rng.random() == np.random.default_rng(3).random()
+
+    def test_uniform_on_cumulative_boundaries(self):
+        """u equal to a running sum picks the next outcome, as ``u < acc`` did;
+        u at or above the total falls through to the last outcome."""
+        for povm, state in _sampler_cases():
+            q = outcome_distribution(povm, state).weights
+            cdf = list(accumulate(q))
+            for value in cdf + [cdf[-1] + 1e-9]:
+                stub = _FixedUniform(value)
+                want = _reference_collapse_index(povm, state, stub)
+                assert collapse(povm, state, stub).index == want
+                assert collapse_many(povm, state, stub, 4).tolist() == [want] * 4
+            assert want == len(q) - 1
+
+    @pytest.mark.parametrize("sample", ["collapse", "collapse_many"])
+    def test_errors_raised_before_any_draw(self, sample):
+        povm = build_povm(make_distribution([0.5, 0.5]), make_distribution([1.0, 0.0]), 0.5)
+        bad_states = {
+            IncompletePovm: prepare_state(make_distribution([0.9, 0.1])),
+            DimensionMismatch: AmplitudeState((1.0,)),
+        }
+        for error, state in bad_states.items():
+            rng = np.random.default_rng(44)
+            before = rng.bit_generator.state
+            with pytest.raises(error):
+                if sample == "collapse":
+                    collapse(povm, state, rng)
+                else:
+                    collapse_many(povm, state, rng, 10)
+            assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("size", [-1, True, False, 2.0, "3", None])
+    def test_bad_size_named(self, size):
+        povm, state = _sampler_cases()[0]
+        rng = np.random.default_rng(44)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="size"):
+            collapse_many(povm, state, rng, size)
+        assert rng.bit_generator.state == before
+
+    def test_numpy_integer_size_accepted(self):
+        povm, state = _sampler_cases()[0]
+        assert collapse_many(povm, state, np.random.default_rng(1), np.int64(5)).shape == (5,)
+
+
+def test_basis_states_are_shared():
+    assert AmplitudeState.basis(2, 5) is AmplitudeState.basis(2, 5)
+    assert AmplitudeState.basis(2, 5).amplitudes == (0.0, 0.0, 1.0, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        AmplitudeState.basis(5, 5)
