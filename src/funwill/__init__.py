@@ -42,7 +42,7 @@ from .distributions import (
     uniform_distribution,
     unpredictability,
 )
-from .seeding import derive_seed, make_rng
+from .seeding import derive_seed
 
 __version__ = "0.1.0"
 
@@ -79,7 +79,6 @@ __all__ = [
     "kl_divergence",
     "lln_concentration",
     "make_distribution",
-    "make_rng",
     "outcome_distribution",
     "prepare_state",
     "simulate_trials",

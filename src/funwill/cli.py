@@ -12,10 +12,11 @@ power       Monte Carlo detection power per sigma grid point, optionally
 lln         weak-law concentration estimates for a payoff sample mean
 archetypes  print the canonical agent profiles
 
-Configs are flat JSON objects (see README for the schema).  The ``--seed``
-flag overrides the config's ``seed`` key, which overrides the FUNWILL_SEED
-environment variable; every run with identical config and seed produces
-byte-identical output.
+Configs are flat JSON objects (see README for the schema).  The ``--seed``,
+``--out`` and ``--format`` flags override the config keys of the same name
+and are validated by the same parsers; a seed from neither comes from the
+FUNWILL_SEED environment variable.  Every run with identical config and
+seed produces byte-identical output.
 
 Exit codes: 0 success, 2 config error, 3 model error (unreachable guidance
 or incomplete measurement set), 4 I/O failure.
@@ -31,7 +32,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import agents
 from .collapse import build_povm, check_completeness, outcome_distribution, prepare_state
@@ -46,8 +47,8 @@ from .detect import (
 from .distributions import (
     ChoiceSpace,
     ProbabilityVector,
+    _gradient,
     _regime,
-    entropy_gradient,
     exercise_will,
     make_distribution,
     unpredictability,
@@ -66,56 +67,170 @@ logger = logging.getLogger("funwill")
 
 SEED_ENV_VAR = "FUNWILL_SEED"
 
-_CONFIG_KEYS = {
-    "labels", "nature", "understanding", "sigma", "trials", "alpha",
-    "noise", "reps", "seed", "out", "format", "payoff", "epsilon", "n_schedule",
-}
+
+# ---------------------------------------------------------------------------
+# Config schema
+# ---------------------------------------------------------------------------
+
+def _number(value) -> float:
+    """A finite JSON number; ``bool`` is an ``int`` subclass but not a number."""
+    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if isinstance(value, bool) or not finite:
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, least: int = 1) -> int:
+    """A JSON integer of at least ``least``; ``bool`` is not a count."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"expected an integer >= {least}, got {value!r}")
+    return value
+
+
+def _array(value, item) -> tuple:
+    """A non-empty JSON array, each entry through ``item``."""
+    if not isinstance(value, list) or not value:
+        raise ValueError(f"expected a non-empty array, got {value!r}")
+    return tuple(map(item, value))
+
+
+def _label(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected an array of strings, got {value!r}")
+    return value
+
+
+def _vector(value) -> ProbabilityVector:
+    return make_distribution(_array(value, _number), normalize=False)
+
+
+def _sigma(spec):
+    """A will strength in [0, 1] or a ``{start, stop, steps}`` sweep, kept as given."""
+    if not isinstance(spec, dict):
+        if not 0.0 <= _number(spec) <= 1.0:
+            raise ValueError(f"must lie in [0, 1], got {spec!r}")
+        return spec
+    if set(spec) != {"start", "stop", "steps"}:
+        raise ValueError(f"a sweep takes exactly start, stop and steps, got {sorted(spec)}")
+    _integer(spec["steps"])
+    if not 0.0 <= _number(spec["start"]) <= _number(spec["stop"]) <= 1.0:
+        raise ValueError(f"need 0 <= start <= stop <= 1, got {spec}")
+    return spec
+
+
+def _alpha(value) -> float:
+    alpha = _number(value)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"must lie in (0, 1), got {alpha}")
+    return alpha
+
+
+def _positive(value) -> float:
+    number = _number(value)
+    if number <= 0.0:
+        raise ValueError(f"must be positive, got {number}")
+    return number
+
+
+def _path(value) -> str:
+    if not isinstance(value, str) or not value:
+        raise ValueError("expected a non-empty path string")
+    return value
+
+
+def _format(value) -> str:
+    if value not in ("csv", "json"):
+        raise ValueError(f"expected 'csv' or 'json', got {value!r}")
+    return value
+
+
+def _key(parse, default=None, echo="all", per_outcome=False):
+    """One config key.
+
+    ``parse`` turns the key's JSON value into the stored value or raises
+    ValueError.  ``echo`` names the subcommand whose input echo shows the
+    key, or is "all" or "none".  ``per_outcome`` keys hold one entry per
+    outcome, so their lengths must agree.
+    """
+    return field(default=default, metadata={"parse": parse, "echo": echo, "per_outcome": per_outcome})
 
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment inputs; optional fields stay None until needed."""
+    """Validated experiment inputs.
 
-    labels: tuple[str, ...] | None = None
-    nature: ProbabilityVector | None = None
-    understanding: ProbabilityVector | None = None
-    sigma_spec: object = None          # scalar or {start, stop, steps}, as given
-    sigmas: tuple[float, ...] = ()
-    trials: int | None = None
-    alpha: float = 0.05
-    noise: NoiseLevel = field(default_factory=lambda: NoiseLevel(0.0))
-    reps: int | None = None
-    seed: int | None = None
-    out: str | None = None
-    format: str = "csv"
-    payoff: tuple[float, ...] | None = None
-    epsilon: float | None = None
-    n_schedule: tuple[int, ...] | None = None
+    The fields are the config schema: one per key, in input-echo order,
+    each with its parser.  A key the config does not give keeps its default.
+    """
 
-    def require(self, name: str):
-        value = getattr(self, name)
-        if value is None:
-            raise ConfigInvalid(name, "required for this subcommand")
-        return value
+    labels: tuple[str, ...] | None = _key(
+        lambda v: ChoiceSpace(_array(v, _label)).labels, per_outcome=True
+    )
+    nature: ProbabilityVector | None = _key(_vector, per_outcome=True)
+    understanding: ProbabilityVector | None = _key(_vector, per_outcome=True)
+    sigma: float | dict | None = _key(_sigma)
+    trials: int | None = _key(_integer)
+    alpha: float = _key(_alpha, default=0.05)
+    noise: NoiseLevel = _key(lambda v: NoiseLevel(_number(v)), default=NoiseLevel(0.0))
+    reps: int | None = _key(_integer)
+    seed: int | None = _key(lambda v: validate_seed(_integer(v, least=0)))
+    out: str | None = _key(_path, echo="none")
+    format: str = _key(_format, default="csv", echo="none")
+    payoff: tuple[float, ...] | None = _key(lambda v: _array(v, _number), echo="lln", per_outcome=True)
+    epsilon: float | None = _key(_positive, echo="lln")
+    n_schedule: tuple[int, ...] | None = _key(lambda v: _array(v, _integer), echo="lln")
+
+    @property
+    def sigmas(self) -> tuple[float, ...]:
+        """The sigma grid: the scalar, or the sweep from ``start`` to ``stop``."""
+        spec = self.sigma
+        if spec is None:
+            return ()
+        if not isinstance(spec, dict):
+            return (float(spec),)
+        start, stop, steps = float(spec["start"]), float(spec["stop"]), spec["steps"]
+        if steps == 1:
+            return (start,)
+        width = stop - start
+        # The last point is pinned: start + width can round past stop.
+        return tuple(start + i * width / (steps - 1) for i in range(steps - 1)) + (stop,)
+
+    def require(self, *names: str) -> tuple:
+        """The values of ``names``, in order; a missing one is a config error."""
+        for name in names:
+            if getattr(self, name) is None:
+                raise ConfigInvalid(name, "required for this subcommand")
+        return tuple(getattr(self, name) for name in names)
 
     def echo(self, kind: str) -> dict:
-        """Model inputs as a plain dict, for the output's input echo."""
-        doc = {
-            "labels": list(self.labels) if self.labels else None,
-            "nature": list(self.nature.weights) if self.nature else None,
-            "understanding": list(self.understanding.weights) if self.understanding else None,
-            "sigma": self.sigma_spec,
-            "trials": self.trials,
-            "alpha": self.alpha,
-            "noise": self.noise.lam,
-            "reps": self.reps,
-            "seed": self.seed,
+        """The model inputs that subcommand ``kind`` echoes, as plain JSON values."""
+        return {
+            name: _plain(getattr(self, name))
+            for name, f in _SCHEMA.items()
+            if f.metadata["echo"] in ("all", kind)
         }
-        if kind == "lln":
-            doc["payoff"] = list(self.payoff) if self.payoff else None
-            doc["epsilon"] = self.epsilon
-            doc["n_schedule"] = list(self.n_schedule) if self.n_schedule else None
-        return doc
+
+
+_SCHEMA = {f.name: f for f in fields(ExperimentConfig)}
+
+
+def _plain(value):
+    """A stored value as the input echo shows it."""
+    if isinstance(value, ProbabilityVector):
+        return list(value.weights)
+    if isinstance(value, NoiseLevel):
+        return value.lam
+    if isinstance(value, tuple):
+        return list(value)
+    return value
+
+
+def _parse(key: str, value):
+    """Parse one value of config key ``key``; a bad value is a config error naming it."""
+    try:
+        return _SCHEMA[key].metadata["parse"](value)
+    except ValueError as err:
+        raise ConfigInvalid(key, str(err)) from None
 
 
 @dataclass
@@ -128,147 +243,18 @@ class ResultRecord:
     rows: list[dict]
 
 
-def _sigma_grid(spec) -> tuple[float, ...]:
-    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        s = float(spec)
-        if not 0.0 <= s <= 1.0:
-            raise ConfigInvalid("sigma", f"must lie in [0, 1], got {spec}")
-        return (s,)
-    if isinstance(spec, dict):
-        extra = set(spec) - {"start", "stop", "steps"}
-        if extra:
-            raise ConfigInvalid("sigma", f"unknown sweep keys {sorted(extra)}")
-        try:
-            start, stop = float(spec["start"]), float(spec["stop"])
-            steps = int(spec["steps"])
-        except (KeyError, TypeError, ValueError) as err:
-            raise ConfigInvalid("sigma", f"bad sweep spec: {err}") from None
-        if not 0.0 <= start <= stop <= 1.0:
-            raise ConfigInvalid("sigma", f"need 0 <= start <= stop <= 1, got {spec}")
-        if steps < 1:
-            raise ConfigInvalid("sigma", f"steps must be >= 1, got {steps}")
-        if steps == 1:
-            return (start,)
-        width = stop - start
-        # The last point is pinned: start + width can round past stop.
-        return tuple(start + i * width / (steps - 1) for i in range(steps - 1)) + (stop,)
-    raise ConfigInvalid("sigma", f"expected a number or {{start, stop, steps}}, got {spec!r}")
-
-
-def _is_int(value) -> bool:
-    """A JSON integer; ``bool`` is an ``int`` subclass but not a count."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _positive_int(raw: dict, name: str) -> int:
-    value = raw[name]
-    if not _is_int(value) or value < 1:
-        raise ConfigInvalid(name, f"expected a positive integer, got {value!r}")
-    return value
-
-
-def _vector(raw, name: str) -> ProbabilityVector:
-    if not isinstance(raw, list) or not raw:
-        raise ConfigInvalid(name, "expected a non-empty array of weights")
-    try:
-        return make_distribution(raw, normalize=False)
-    except ValueError as err:
-        raise ConfigInvalid(name, str(err)) from None
-
-
 def build_config(raw: dict) -> ExperimentConfig:
-    """Validate a parsed config document field by field."""
+    """Validate a parsed config document, key by key in schema order."""
     if not isinstance(raw, dict):
         raise ConfigInvalid("config", "top level must be a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
+    unknown = raw.keys() - _SCHEMA.keys()
     if unknown:
         raise ConfigInvalid(sorted(unknown)[0], "unknown config field")
-
-    cfg = ExperimentConfig()
-    if "labels" in raw:
-        if not isinstance(raw["labels"], list) or not all(isinstance(x, str) for x in raw["labels"]):
-            raise ConfigInvalid("labels", "expected an array of strings")
-        try:
-            cfg.labels = ChoiceSpace(tuple(raw["labels"])).labels
-        except ValueError as err:
-            raise ConfigInvalid("labels", str(err)) from None
-    if "nature" in raw:
-        cfg.nature = _vector(raw["nature"], "nature")
-    if "understanding" in raw:
-        cfg.understanding = _vector(raw["understanding"], "understanding")
-    if "sigma" in raw:
-        cfg.sigma_spec = raw["sigma"]
-        cfg.sigmas = _sigma_grid(raw["sigma"])
-    if "trials" in raw:
-        cfg.trials = _positive_int(raw, "trials")
-    if "alpha" in raw:
-        try:
-            cfg.alpha = float(raw["alpha"])
-        except (TypeError, ValueError):
-            raise ConfigInvalid("alpha", f"expected a number, got {raw['alpha']!r}") from None
-        if not 0.0 < cfg.alpha < 1.0:
-            raise ConfigInvalid("alpha", f"must lie in (0, 1), got {cfg.alpha}")
-    if "noise" in raw:
-        try:
-            cfg.noise = NoiseLevel(float(raw["noise"]))
-        except (TypeError, ValueError) as err:
-            raise ConfigInvalid("noise", str(err)) from None
-    if "reps" in raw:
-        cfg.reps = _positive_int(raw, "reps")
-    if "seed" in raw:
-        if not _is_int(raw["seed"]):
-            raise ConfigInvalid("seed", f"expected an integer, got {raw['seed']!r}")
-        try:
-            cfg.seed = validate_seed(raw["seed"])
-        except (TypeError, ValueError) as err:
-            raise ConfigInvalid("seed", str(err)) from None
-    if "out" in raw:
-        if not isinstance(raw["out"], str) or not raw["out"]:
-            raise ConfigInvalid("out", "expected a non-empty path string")
-        cfg.out = raw["out"]
-    if "format" in raw:
-        if raw["format"] not in ("csv", "json"):
-            raise ConfigInvalid("format", f"expected 'csv' or 'json', got {raw['format']!r}")
-        cfg.format = raw["format"]
-    if "payoff" in raw:
-        if not isinstance(raw["payoff"], list) or not raw["payoff"]:
-            raise ConfigInvalid("payoff", "expected a non-empty array of numbers")
-        try:
-            cfg.payoff = tuple(float(v) for v in raw["payoff"])
-        except (TypeError, ValueError):
-            raise ConfigInvalid("payoff", "expected a non-empty array of numbers") from None
-    if "epsilon" in raw:
-        try:
-            cfg.epsilon = float(raw["epsilon"])
-        except (TypeError, ValueError):
-            raise ConfigInvalid("epsilon", f"expected a number, got {raw['epsilon']!r}") from None
-        if cfg.epsilon <= 0.0:
-            raise ConfigInvalid("epsilon", f"must be positive, got {cfg.epsilon}")
-    if "n_schedule" in raw:
-        sched = raw["n_schedule"]
-        if (
-            not isinstance(sched, list)
-            or not sched
-            or not all(_is_int(n) and n >= 1 for n in sched)
-        ):
-            raise ConfigInvalid("n_schedule", "expected a non-empty array of positive integers")
-        cfg.n_schedule = tuple(sched)
-
-    # Cross-field shape checks.
-    dims = {
-        name: getattr(cfg, name).dimension
-        for name in ("nature", "understanding")
-        if getattr(cfg, name) is not None
-    }
-    if cfg.labels is not None:
-        dims["labels"] = len(cfg.labels)
-    if cfg.payoff is not None:
-        dims["payoff"] = len(cfg.payoff)
+    values = {key: _parse(key, raw[key]) for key in _SCHEMA if key in raw}
+    dims = {key: len(value) for key, value in values.items() if _SCHEMA[key].metadata["per_outcome"]}
     if len(set(dims.values())) > 1:
-        raise ConfigInvalid(
-            "labels", f"inconsistent dimensions across fields: {dims}"
-        )
-    return cfg
+        raise ConfigInvalid("labels", f"inconsistent dimensions across fields: {dims}")
+    return ExperimentConfig(**values)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -277,8 +263,8 @@ def load_config(path: str) -> ExperimentConfig:
             raw = json.load(fh)
     except OSError as err:
         raise ConfigInvalid("config", f"cannot read {path}: {err}") from None
-    except json.JSONDecodeError as err:
-        raise ConfigInvalid("config", f"{path} is not valid JSON: {err}") from None
+    except ValueError as err:  # JSONDecodeError, or UnicodeDecodeError from the read
+        raise ConfigInvalid("config", f"{path} is not valid UTF-8 JSON: {err}") from None
     return build_config(raw)
 
 
@@ -294,34 +280,29 @@ def _sigma_columns(dimension: int) -> list[str]:
     )
 
 
-def _blank_row(sigma: float, dimension: int) -> dict:
-    row = {"sigma": sigma}
-    for j in range(dimension):
-        row[f"p_prime_{j}"] = None
-    row.update(
-        xi_bits=None, dh_dsigma=None, regime=None, residual=None,
-        chi2=None, p_value=None, verdict=None, power=None,
-    )
-    return row
-
-
-def _experiment_id(kind: str, echo: dict) -> str:
+def _record(kind: str, config: ExperimentConfig, columns: list[str], rows: list[dict]) -> ResultRecord:
+    """Wrap rows with the input echo and an experiment id hashed from it."""
+    echo = config.echo(kind)
     digest = hashlib.sha256(
         json.dumps({"kind": kind, "config": echo}, sort_keys=True).encode()
     ).hexdigest()
-    return f"{kind}-{digest[:12]}"
+    return ResultRecord(f"{kind}-{digest[:12]}", echo, columns, rows)
 
 
-def _analytics(row: dict, nature, understanding, sigma):
+def _analytics(columns: list[str], nature, understanding, sigma: float) -> dict:
+    """A row with the blend, its entropy, its gradient and the regime filled in."""
+    row = dict.fromkeys(columns)
+    row["sigma"] = sigma
     blended = exercise_will(nature, understanding, sigma)
     for j, w in enumerate(blended.weights):
         row[f"p_prime_{j}"] = w
     row["xi_bits"] = unpredictability(blended)
     try:
-        row["dh_dsigma"] = entropy_gradient(nature, understanding, sigma)
+        row["dh_dsigma"] = _gradient(nature, understanding, blended)
     except DivergentGradient as err:
         row["dh_dsigma"] = math.copysign(math.inf, err.sign)
     row["regime"] = _regime(row["dh_dsigma"])
+    return row
 
 
 def _trials_checked(test, *args, **kwargs):
@@ -334,18 +315,10 @@ def _trials_checked(test, *args, **kwargs):
 
 def run_distort(config: ExperimentConfig) -> ResultRecord:
     """Blend analytics per sigma: distribution, entropy, gradient, regime."""
-    nature = config.require("nature")
-    understanding = config.require("understanding")
-    config.require("labels")
-    if not config.sigmas:
-        raise ConfigInvalid("sigma", "required for this subcommand")
-    rows = []
-    for sigma in config.sigmas:
-        row = _blank_row(sigma, nature.dimension)
-        _analytics(row, nature, understanding, sigma)
-        rows.append(row)
-    echo = config.echo("distort")
-    return ResultRecord(_experiment_id("distort", echo), echo, _sigma_columns(nature.dimension), rows)
+    nature, understanding, _, _ = config.require("nature", "understanding", "labels", "sigma")
+    columns = _sigma_columns(nature.dimension)
+    rows = [_analytics(columns, nature, understanding, sigma) for sigma in config.sigmas]
+    return _record("distort", config, columns, rows)
 
 
 def run_collapse(config: ExperimentConfig) -> ResultRecord:
@@ -356,13 +329,10 @@ def run_collapse(config: ExperimentConfig) -> ResultRecord:
     columns), their entropy, and the chi-squared report against the
     baseline distribution (the Born null).
     """
-    nature = config.require("nature")
-    understanding = config.require("understanding")
-    config.require("labels")
-    trials = config.require("trials")
-    seed = config.require("seed")
-    if not config.sigmas:
-        raise ConfigInvalid("sigma", "required for this subcommand")
+    nature, understanding, _, trials, seed, _ = config.require(
+        "nature", "understanding", "labels", "trials", "seed", "sigma"
+    )
+    columns = _sigma_columns(nature.dimension)
     state = prepare_state(nature)
     rows = []
     for i, sigma in enumerate(config.sigmas):
@@ -372,7 +342,8 @@ def run_collapse(config: ExperimentConfig) -> ResultRecord:
         counts = simulate_trials(sampling, trials, derive_seed(seed, i))
         freq = counts.frequencies()
         report = _trials_checked(chi_squared_test, counts, nature, config.alpha)
-        row = _blank_row(sigma, nature.dimension)
+        row = dict.fromkeys(columns)
+        row["sigma"] = sigma
         for j, w in enumerate(freq.weights):
             row[f"p_prime_{j}"] = w
         row["xi_bits"] = unpredictability(freq)
@@ -381,44 +352,34 @@ def run_collapse(config: ExperimentConfig) -> ResultRecord:
         row["p_value"] = report.p_value
         row["verdict"] = report.verdict
         rows.append(row)
-    echo = config.echo("collapse")
-    return ResultRecord(_experiment_id("collapse", echo), echo, _sigma_columns(nature.dimension), rows)
+    return _record("collapse", config, columns, rows)
 
 
 def run_power(config: ExperimentConfig) -> ResultRecord:
     """Detection power per sigma grid point at the configured noise level."""
-    nature = config.require("nature")
-    understanding = config.require("understanding")
-    config.require("labels")
-    trials = config.require("trials")
-    reps = config.require("reps")
+    nature, understanding, _, trials, reps, seed, _ = config.require(
+        "nature", "understanding", "labels", "trials", "reps", "seed", "sigma"
+    )
     if reps < 100:
         raise ConfigInvalid("reps", "power estimates need at least 100 replications")
-    seed = config.require("seed")
-    if not config.sigmas:
-        raise ConfigInvalid("sigma", "required for this subcommand")
+    columns = _sigma_columns(nature.dimension)
     rows = []
     for i, sigma in enumerate(config.sigmas):
-        row = _blank_row(sigma, nature.dimension)
-        _analytics(row, nature, understanding, sigma)
+        row = _analytics(columns, nature, understanding, sigma)
         row["power"] = _trials_checked(
             detection_power, nature, understanding, sigma,
             n=trials, alpha=config.alpha, reps=reps,
             seed=derive_seed(seed, i), noise=config.noise,
         )
         rows.append(row)
-    echo = config.echo("power")
-    return ResultRecord(_experiment_id("power", echo), echo, _sigma_columns(nature.dimension), rows)
+    return _record("power", config, columns, rows)
 
 
 def run_lln(config: ExperimentConfig) -> ResultRecord:
     """Weak-law concentration table for the configured payoff."""
-    nature = config.require("nature")
-    payoff = config.require("payoff")
-    epsilon = config.require("epsilon")
-    schedule = config.require("n_schedule")
-    reps = config.require("reps")
-    seed = config.require("seed")
+    nature, payoff, epsilon, schedule, reps, seed = config.require(
+        "nature", "payoff", "epsilon", "n_schedule", "reps", "seed"
+    )
     estimates = lln_concentration(nature, payoff, epsilon, schedule, reps, seed)
     rows = [
         {
@@ -428,8 +389,7 @@ def run_lln(config: ExperimentConfig) -> ResultRecord:
         }
         for n, prob in estimates
     ]
-    echo = config.echo("lln")
-    return ResultRecord(_experiment_id("lln", echo), echo, ["n", "deviation_prob", "chebyshev_bound"], rows)
+    return _record("lln", config, ["n", "deviation_prob", "chebyshev_bound"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -470,20 +430,11 @@ def render_json(record: ResultRecord) -> str:
 def emit(record: ResultRecord, path: str, fmt: str) -> str:
     """Write a record as CSV or JSON; floats carry 12 significant digits.
 
-    Serialized rows are re-validated: any p_prime row must still sum to 1
-    within 1e-9 after rounding.  The text goes to a temporary file in the
-    destination directory, which is then renamed onto ``path``: a failed
-    write removes the temporary file and leaves any existing ``path`` as
-    it was.
+    The text goes to a temporary file in the destination directory, which
+    is then renamed onto ``path``: a failed write removes the temporary
+    file and leaves any existing ``path`` as it was.
     """
-    if fmt not in ("csv", "json"):
-        raise ConfigInvalid("format", f"expected 'csv' or 'json', got {fmt!r}")
-    prime_cols = [c for c in record.columns if c.startswith("p_prime_")]
-    for row in record.rows:
-        written = [_round12(row[c]) for c in prime_cols if row[c] is not None]
-        if written and abs(math.fsum(written) - 1.0) > 1e-9:
-            raise ValueError(f"serialized p_prime row sums to {math.fsum(written)!r}, not 1")
-    text = render_csv(record) if fmt == "csv" else render_json(record)
+    text = render_csv(record) if _parse("format", fmt) == "csv" else render_json(record)
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
     try:
@@ -534,25 +485,23 @@ _RUNNERS = {
 }
 
 
-def _resolve_seed(flag_seed: int | None, config: ExperimentConfig):
-    if flag_seed is not None:
-        try:
-            config.seed = validate_seed(flag_seed)
-        except ValueError as err:
-            raise ConfigInvalid("seed", str(err)) from None
-        return
+def _apply_flags(config: ExperimentConfig, args: argparse.Namespace) -> None:
+    """Let each flag named after a config key override it, through the key's
+    parser; with no seed from either, FUNWILL_SEED supplies it."""
+    for key, value in vars(args).items():
+        if key in _SCHEMA and value is not None:
+            setattr(config, key, _parse(key, value))
     if config.seed is not None:
         return
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            config.seed = validate_seed(int(env))
-        except (TypeError, ValueError):
-            raise ConfigInvalid("seed", f"{SEED_ENV_VAR}={env!r} is not a valid seed") from None
-        return
-    raise ConfigInvalid(
-        "seed", f"no seed given (use --seed, the config's 'seed' key, or {SEED_ENV_VAR})"
-    )
+    if env is None:
+        raise ConfigInvalid(
+            "seed", f"no seed given (use --seed, the config's 'seed' key, or {SEED_ENV_VAR})"
+        )
+    try:
+        config.seed = _parse("seed", int(env))
+    except ValueError:
+        raise ConfigInvalid("seed", f"{SEED_ENV_VAR}={env!r} is not a valid seed") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -571,7 +520,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="unsigned 64-bit seed (overrides config)")
         p.add_argument("--out", default=None, help="output path (overrides config)")
-        p.add_argument("--format", choices=("csv", "json"), default=None, help="output format (overrides config)")
+        p.add_argument("--format", default=None, help="output format, csv or json (overrides config)")
         p.add_argument("--quiet", action="store_true", help="suppress progress logging")
     p = sub.add_parser("archetypes", help="print the canonical agent profiles")
     p.add_argument("--quiet", action="store_true", help="suppress progress logging")
@@ -589,12 +538,8 @@ def main(argv=None) -> int:
 
     try:
         config = load_config(args.config)
-        _resolve_seed(args.seed, config)
-        if args.out is not None:
-            config.out = args.out
-        if args.format is not None:
-            config.format = args.format
-        out = config.require("out")
+        _apply_flags(config, args)
+        (out,) = config.require("out")
         record = _RUNNERS[args.command](config)
         emit(record, out, config.format)
     except ConfigInvalid as err:

@@ -190,7 +190,15 @@ def entropy_gradient(
     supports); the error carries the sign rather than clipping the value.
     """
     _check_dims(nature, understanding, "nature and understanding")
-    blended = exercise_will(nature, understanding, will)
+    return _gradient(nature, understanding, exercise_will(nature, understanding, will))
+
+
+def _gradient(
+    nature: ProbabilityVector,
+    understanding: ProbabilityVector,
+    blended: ProbabilityVector,
+) -> float:
+    """``entropy_gradient`` at a blend the caller has already computed."""
     grad = 0.0
     divergent = 0.0
     for p, u, q in zip(nature.weights, understanding.weights, blended.weights):

@@ -25,8 +25,3 @@ def derive_seed(seed: int, *path: int) -> int:
     """Collapse (seed, *path) into a fresh 64-bit stream seed."""
     entropy = [validate_seed(seed), *(int(p) for p in path)]
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
-
-
-def make_rng(seed: int) -> np.random.Generator:
-    """A fresh PCG64 generator for the given seed."""
-    return np.random.default_rng(validate_seed(seed))

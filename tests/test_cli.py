@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -83,6 +84,22 @@ class TestConfigValidation:
         ("seed", 3.7),
         ("seed", "12"),
         ("n_schedule", [100, True]),
+        ("epsilon", math.nan),
+        ("epsilon", math.inf),
+        ("epsilon", "0.1"),
+        ("noise", True),
+        ("noise", "0.1"),
+        ("sigma", {"start": 0.0, "stop": 1.0, "steps": 5.7}),
+        ("sigma", {"start": 0.0, "stop": 1.0, "steps": True}),
+        ("sigma", {"start": 0.0, "stop": 1.0, "steps": "3"}),
+        ("sigma", {"start": "0", "stop": 1.0, "steps": 3}),
+        ("alpha", "0.05"),
+        pytest.param("alpha", 10**400, id="alpha-1e400"),
+        ("payoff", [math.nan, 0.0]),
+        ("payoff", [True, False]),
+        ("payoff", ["1", "0"]),
+        ("nature", [True, False]),
+        ("nature", ["0.5", "0.5"]),
     ])
     def test_bool_and_non_integer_counts_rejected(self, field, value):
         with pytest.raises(ConfigInvalid) as exc:
@@ -114,6 +131,9 @@ class TestConfigValidation:
             load_config(str(tmp_path / "missing.json"))
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
+        with pytest.raises(ConfigInvalid):
+            load_config(str(bad))
+        bad.write_bytes(b'{"seed": 1, "labels": ["\xff"]}')
         with pytest.raises(ConfigInvalid):
             load_config(str(bad))
 
@@ -152,18 +172,19 @@ class TestRunDistort:
         )
 
     def test_one_gradient_per_row(self, monkeypatch):
-        """The regime comes from the row's own gradient, not a second blend."""
+        """Each row blends once, and its gradient and regime reuse that blend."""
         from funwill import cli, distributions
 
-        calls = []
+        calls = Counter()
         for module in (cli, distributions):
-            original = module.entropy_gradient
-            monkeypatch.setattr(
-                module, "entropy_gradient",
-                lambda *args, _f=original: calls.append(1) or _f(*args),
-            )
+            for name in ("_gradient", "exercise_will"):
+                monkeypatch.setattr(
+                    module, name,
+                    lambda *args, _f=getattr(module, name), _n=name: calls.update([_n]) or _f(*args),
+                )
         rec = run_distort(build_config(SAINT_CFG))
-        assert len(calls) == len(rec.rows) == 11
+        assert len(rec.rows) == 11
+        assert calls == {"_gradient": 11, "exercise_will": 11}
         assert [row["regime"] for row in rec.rows] == [
             classify_regime(make_distribution([0.5, 0.5]), make_distribution([1.0, 0.0]), s)
             for s in (row["sigma"] for row in rec.rows)
@@ -299,14 +320,6 @@ class TestEmit:
                 else:
                     assert parsed[col] == want
 
-    def test_serialized_rows_revalidated(self, tmp_path):
-        rec = ResultRecord(
-            "distort-x", {}, ["sigma", "p_prime_0", "p_prime_1"],
-            [{"sigma": 0.1, "p_prime_0": 0.9, "p_prime_1": 0.2}],
-        )
-        with pytest.raises(ValueError):
-            emit(rec, str(tmp_path / "bad.csv"), "csv")
-
     def test_unwritable_path_raises_io_failure(self, tmp_path):
         rec = ResultRecord("x", {}, ["sigma"], [])
         with pytest.raises(IoFailure):
@@ -401,6 +414,17 @@ class TestMain:
         cfg_path = write_cfg(tmp_path, SAINT_CFG)
         out = str(tmp_path / "no" / "dir.csv")
         assert main(["distort", "--config", cfg_path, "--out", out, "--quiet"]) == 4
+
+    @pytest.mark.parametrize("flag, field", [
+        ("--out=", "out"),
+        ("--seed=-1", "seed"),
+        ("--format=xml", "format"),
+    ])
+    def test_bad_flag_is_config_error_naming_its_key(self, tmp_path, caplog, flag, field):
+        cfg_path = write_cfg(tmp_path, {**SAINT_CFG, "out": str(tmp_path / "d.csv")})
+        assert main(["distort", "--config", cfg_path, flag]) == 2
+        assert f"config error: {field}:" in caplog.text
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
     def test_missing_out_is_config_error(self, tmp_path):
         cfg_path = write_cfg(tmp_path, SAINT_CFG)

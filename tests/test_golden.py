@@ -65,9 +65,33 @@ CONFIGS = {
         "trials": 5000,
         "seed": 2012,
     },
+    # Integer-valued inputs: the echo shows integer weights, noise, payoff
+    # and epsilon as floats, and the sigma spec exactly as given.
+    "distort_ints": {
+        "labels": ["g", "e"],
+        "nature": [0.5, 0.5],
+        "understanding": [1, 0],
+        "sigma": {"start": 0, "stop": 1, "steps": 3},
+        "trials": 100,
+        "alpha": 0.05,
+        "noise": 0,
+        "reps": 100,
+        "seed": 5,
+    },
+    "lln_ints": {
+        "nature": [0.5, 0.5],
+        "payoff": [1, 0],
+        "epsilon": 1,
+        "n_schedule": [10, 20],
+        "reps": 100,
+        "seed": 9,
+    },
 }
 
-OUTPUTS = ("collapse.csv", "collapse.json", "distort.csv", "distort.json", "lln.csv", "power.csv")
+OUTPUTS = (
+    "collapse.csv", "collapse.json", "distort.csv", "distort.json", "distort_ints.json",
+    "lln.csv", "lln.json", "lln_ints.json", "power.csv", "power.json",
+)
 
 DRAW_SEED = 1789
 DRAWS = 2000
@@ -77,9 +101,11 @@ DRAW_UNDERSTANDING = [0.0 if j == 7 else float(16 - j) ** 2 for j in range(16)]
 
 
 def render(name: str, workdir: pathlib.Path) -> bytes:
-    command, fmt = name.split(".")
-    cfg_path = workdir / f"{command}.json"
-    cfg_path.write_text(json.dumps(CONFIGS[command]))
+    """Run the subcommand named by the golden's stem up to its first ``_``."""
+    stem, fmt = name.split(".")
+    command = stem.split("_")[0]
+    cfg_path = workdir / f"{stem}-config.json"
+    cfg_path.write_text(json.dumps(CONFIGS[stem]))
     out = workdir / name
     assert main([command, "--config", str(cfg_path), "--out", str(out), "--format", fmt, "--quiet"]) == 0
     return out.read_bytes()
