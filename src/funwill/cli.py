@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import logging
@@ -84,6 +85,13 @@ def _integer(value, least: int = 1) -> int:
     """A JSON integer of at least ``least``; ``bool`` is not a count."""
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise ValueError(f"expected an integer >= {least}, got {value!r}")
+    return value
+
+
+def _trials(value) -> int:
+    """A trial count; numpy's multinomial takes at most 2**63 - 1, a C long."""
+    if _integer(value) > 2**63 - 1:
+        raise ValueError(f"expected at most 2**63 - 1 trials, got {value}")
     return value
 
 
@@ -169,7 +177,7 @@ class ExperimentConfig:
     nature: ProbabilityVector | None = _key(_vector, per_outcome=True)
     understanding: ProbabilityVector | None = _key(_vector, per_outcome=True)
     sigma: float | dict | None = _key(_sigma)
-    trials: int | None = _key(_integer)
+    trials: int | None = _key(_trials)
     alpha: float = _key(_alpha, default=0.05)
     noise: NoiseLevel = _key(lambda v: NoiseLevel(_number(v)), default=NoiseLevel(0.0))
     reps: int | None = _key(_integer)
@@ -178,7 +186,7 @@ class ExperimentConfig:
     format: str = _key(_format, default="csv", echo="none")
     payoff: tuple[float, ...] | None = _key(lambda v: _array(v, _number), echo="lln", per_outcome=True)
     epsilon: float | None = _key(_positive, echo="lln")
-    n_schedule: tuple[int, ...] | None = _key(lambda v: _array(v, _integer), echo="lln")
+    n_schedule: tuple[int, ...] | None = _key(lambda v: _array(v, _trials), echo="lln")
 
     @property
     def sigmas(self) -> tuple[float, ...]:
@@ -504,6 +512,7 @@ def _apply_flags(config: ExperimentConfig, args: argparse.Namespace) -> None:
         raise ConfigInvalid("seed", f"{SEED_ENV_VAR}={env!r} is not a valid seed") from None
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="funwill",

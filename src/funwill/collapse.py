@@ -76,25 +76,16 @@ class AmplitudeState:
             raise ValueError(f"basis index {index} out of range for dimension {dimension}")
         return cls(tuple(1.0 if j == index else 0.0 for j in range(dimension)))
 
-    def is_basis_vector(self) -> bool:
-        return sum(1 for a in self.amplitudes if a == 1.0) == 1 and all(
-            a in (0.0, 1.0) for a in self.amplitudes
-        )
-
 
 @dataclass(frozen=True)
 class PovmSet:
-    """Diagonal measurement operators M_j = c_j |j><j|.
+    """Diagonal measurement operators M_j = c_j |j><j|, held as their coefficients.
 
-    ``nature``/``understanding``/``will`` record the triple the set was
-    built for (None on hand-assembled sets), so misuse against a different
-    state stays detectable via ``check_completeness``.
+    Whether the set was built for a state shows only in the completeness
+    residual against it (``check_completeness``).
     """
 
     coefficients: tuple[float, ...]
-    nature: ProbabilityVector | None = None
-    understanding: ProbabilityVector | None = None
-    will: WillStrength | None = None
 
     def __post_init__(self):
         coeffs = tuple(float(c) for c in self.coefficients)
@@ -112,16 +103,19 @@ class PovmSet:
 
 @dataclass(frozen=True)
 class CollapseOutcome:
-    """One sampled collapse: the chosen index and the post-measurement state."""
+    """One sampled collapse: outcome ``index`` of a ``dimension``-outcome measurement."""
 
     index: int
-    post_state: AmplitudeState
+    dimension: int
 
     def __post_init__(self):
-        if not self.post_state.is_basis_vector():
-            raise ValueError("post-collapse state must be a basis vector")
-        if self.post_state.amplitudes[self.index] != 1.0:
-            raise ValueError("post-collapse state does not match the outcome index")
+        if not 0 <= self.index < self.dimension:
+            raise ValueError(f"outcome index {self.index} out of range for dimension {self.dimension}")
+
+    @property
+    def post_state(self) -> AmplitudeState:
+        """The basis vector |index>: each operator is rank-one diagonal."""
+        return AmplitudeState.basis(self.index, self.dimension)
 
 
 def prepare_state(nature: ProbabilityVector) -> AmplitudeState:
@@ -155,12 +149,7 @@ def build_povm(
             coeffs.append(0.0)
         else:
             coeffs.append(math.sqrt((sigma * u + (1.0 - sigma) * p) / p))
-    return PovmSet(
-        tuple(coeffs),
-        nature=nature,
-        understanding=understanding,
-        will=WillStrength(sigma),
-    )
+    return PovmSet(tuple(coeffs))
 
 
 def check_completeness(povm: PovmSet, state: AmplitudeState) -> float:
@@ -169,12 +158,14 @@ def check_completeness(povm: PovmSet, state: AmplitudeState) -> float:
     Zero (within COMPLETENESS_TOL) against the state the set was built
     for; generically nonzero against any other state.
     """
+    return abs(math.fsum(_terms(povm, state)) - 1.0)
+
+
+def _terms(povm: PovmSet, state: AmplitudeState) -> list[float]:
+    """The completeness terms (c_j a_j)^2; raises DimensionMismatch."""
     if povm.dimension != state.dimension:
-        raise DimensionMismatch(
-            f"povm has dimension {povm.dimension}, state {state.dimension}"
-        )
-    total = math.fsum((c * a) ** 2 for c, a in zip(povm.coefficients, state.amplitudes))
-    return abs(total - 1.0)
+        raise DimensionMismatch(f"povm has dimension {povm.dimension}, state {state.dimension}")
+    return [(c * a) ** 2 for c, a in zip(povm.coefficients, state.amplitudes)]
 
 
 def _outcome_weights(povm: PovmSet, state: AmplitudeState) -> list[float]:
@@ -183,11 +174,7 @@ def _outcome_weights(povm: PovmSet, state: AmplitudeState) -> list[float]:
     Raises DimensionMismatch, or IncompletePovm when the completeness
     residual exceeds COMPLETENESS_TOL.
     """
-    if povm.dimension != state.dimension:
-        raise DimensionMismatch(
-            f"povm has dimension {povm.dimension}, state {state.dimension}"
-        )
-    raw = [(c * a) ** 2 for c, a in zip(povm.coefficients, state.amplitudes)]
+    raw = _terms(povm, state)
     total = math.fsum(raw)
     residual = abs(total - 1.0)
     if residual > COMPLETENESS_TOL:
@@ -208,13 +195,6 @@ def _pick(cdf, u: float) -> int:
     return min(bisect_right(cdf, u), len(cdf) - 1)
 
 
-def _draw_count(size) -> int:
-    """``size`` as an int; bool, non-integer and negative counts are rejected."""
-    if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 0:
-        raise ValueError(f"size must be a nonnegative integer, got {size!r}")
-    return int(size)
-
-
 def outcome_distribution(povm: PovmSet, state: AmplitudeState) -> ProbabilityVector:
     """Outcome probabilities q_j = (c_j a_j)^2 of measuring ``state``.
 
@@ -229,16 +209,15 @@ def outcome_distribution(povm: PovmSet, state: AmplitudeState) -> ProbabilityVec
 def collapse(
     povm: PovmSet, state: AmplitudeState, rng: np.random.Generator
 ) -> CollapseOutcome:
-    """Sample one directed collapse.
+    """Sample one directed collapse: outcome j, with post-state |j>.
 
-    Outcome j is drawn by inverse-CDF over ``outcome_distribution`` using a
-    single uniform from the caller's stream; the post-state is the basis
-    vector |j> (each operator is rank-one diagonal).  No global randomness:
-    reproducibility is entirely the caller's seed discipline.
+    j is drawn by inverse-CDF over ``outcome_distribution`` using a single
+    uniform from the caller's stream.  No global randomness: reproducibility
+    is entirely the caller's seed discipline.
     """
     weights = _outcome_weights(povm, state)
     index = _pick(list(accumulate(weights)), rng.random())
-    return CollapseOutcome(index=index, post_state=AmplitudeState.basis(index, len(weights)))
+    return CollapseOutcome(index, len(weights))
 
 
 def collapse_many(
@@ -252,6 +231,7 @@ def collapse_many(
     and ``Generator.random(size)`` yields the same doubles as repeated
     scalar calls).
     """
-    size = _draw_count(size)
+    if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 0:
+        raise ValueError(f"size must be a nonnegative integer, got {size!r}")
     cdf = np.cumsum(_outcome_weights(povm, state))
-    return np.minimum(np.searchsorted(cdf, rng.random(size), side="right"), len(cdf) - 1)
+    return np.minimum(np.searchsorted(cdf, rng.random(int(size)), side="right"), len(cdf) - 1)

@@ -110,9 +110,8 @@ def simulate_trials(dist: ProbabilityVector, n: int, seed: int) -> TrialCounts:
     if n < 1:
         raise ValueError(f"trial count must be >= 1, got {n}")
     seed = validate_seed(seed)
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(n, dist.weights)
-    return TrialCounts(counts=tuple(int(c) for c in counts), total=n, seed=seed)
+    counts = np.random.default_rng(seed).multinomial(n, dist.weights)
+    return TrialCounts(counts=tuple(counts), total=n, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -253,16 +252,20 @@ def deviation_verdicts(
     return deviates
 
 
-def _blocks(reps: int):
-    """(block index, rows) covering ``reps`` replications in BLOCK-sized blocks."""
-    return enumerate(min(BLOCK, reps - start) for start in range(0, reps, BLOCK))
+def _block_counts(n: int, weights, reps: int, seed: int, *path: int):
+    """Multinomial counts of ``reps`` replications of n trials, in blocks of at most BLOCK.
+
+    Block b draws from ``default_rng(derive_seed(seed, *path, b))``.
+    """
+    for b, start in enumerate(range(0, reps, BLOCK)):
+        rows = min(BLOCK, reps - start)
+        yield np.random.default_rng(derive_seed(seed, *path, b)).multinomial(n, weights, size=rows)
 
 
 def apply_noise(dist: ProbabilityVector, noise: NoiseLevel | float) -> ProbabilityVector:
     """Mix a uniform component into a distribution: (1-lam)*dist + lam*uniform."""
     lam = noise.lam if isinstance(noise, NoiseLevel) else NoiseLevel(float(noise)).lam
-    n = dist.dimension
-    u = 1.0 / n
+    u = 1.0 / dist.dimension
     return ProbabilityVector(tuple((1.0 - lam) * w + lam * u for w in dist.weights))
 
 
@@ -301,30 +304,38 @@ def detection_power(
     plan = pooling_plan(null, n)
     critical, band = critical_band(alpha, plan.dof)
     hits = 0
-    for b, rows in _blocks(reps):
-        rng = np.random.default_rng(derive_seed(seed, b))
-        counts = rng.multinomial(n, alternative.weights, size=rows)
+    for counts in _block_counts(n, alternative.weights, reps, seed):
         verdicts = deviation_verdicts(counts, null, alpha, plan, critical, band)
         hits += int(np.count_nonzero(verdicts))
     return hits / reps
 
 
 def payoff_mean_variance(dist: ProbabilityVector, payoff) -> tuple[float, float]:
-    """Mean and variance of a payoff random variable under ``dist``."""
+    """Mean and variance of a payoff random variable under ``dist``; ``inf`` if it overflows."""
     values = [float(v) for v in payoff]
     if len(values) != dist.dimension:
-        raise DimensionMismatch(
-            f"payoff has {len(values)} entries, distribution {dist.dimension}"
-        )
+        raise DimensionMismatch(f"payoff has {len(values)} entries, distribution {dist.dimension}")
     mean = math.fsum(w * v for w, v in zip(dist.weights, values))
-    second = math.fsum(w * v * v for w, v in zip(dist.weights, values))
-    return mean, max(0.0, second - mean * mean)
+    try:
+        second = math.fsum(w * v * v for w, v in zip(dist.weights, values))
+    except OverflowError:  # finite terms whose sum is not
+        second = math.inf
+    var = second - mean * mean
+    if math.isinf(second):
+        # E[v^2] overflowed, and var may be inf - inf: redo it on payoffs scaled into [-1, 1].
+        scale = max(map(abs, values))
+        var = payoff_mean_variance(dist, [v / scale for v in values])[1] * scale * scale
+    return mean, max(0.0, var)
 
 
 def chebyshev_bound(dist: ProbabilityVector, payoff, epsilon: float, n: int) -> float:
     """Chebyshev cap Var/(n*eps^2) on Pr[|sample mean - mean| > eps]."""
     _, var = payoff_mean_variance(dist, payoff)
-    return var / (n * epsilon * epsilon)
+    denominator = n * epsilon * epsilon
+    if denominator > 0.0:
+        return var / denominator
+    # n*eps^2 underflowed to 0: the cap is inf on a positive variance.
+    return math.inf if var > 0.0 else 0.0
 
 
 def lln_concentration(
@@ -356,9 +367,7 @@ def lln_concentration(
     out = []
     for i, n in enumerate(schedule):
         hits = 0
-        for b, rows in _blocks(reps):
-            rng = np.random.default_rng(derive_seed(seed, i, b))
-            counts = rng.multinomial(n, dist.weights, size=rows)
+        for counts in _block_counts(n, dist.weights, reps, seed, i):
             sample_mean = counts @ values / n
             hits += int(np.count_nonzero(np.abs(sample_mean - mean) > epsilon))
         out.append((n, hits / reps))

@@ -35,6 +35,12 @@ SAINT_CFG = {
     "seed": 12,
 }
 
+LLN_CFG = {
+    "nature": [0.5, 0.5], "payoff": [1.0, 0.0], "epsilon": 0.1,
+    "n_schedule": [100, 1000], "reps": 300, "seed": 5,
+}
+
+
 EXPECTED_HEADER = (
     "sigma,p_prime_0,p_prime_1,xi_bits,dh_dsigma,regime,"
     "residual,chi2,p_value,verdict,power"
@@ -105,6 +111,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid) as exc:
             build_config({**SAINT_CFG, field: value})
         assert exc.value.field == field
+
+    @pytest.mark.parametrize("field, value", [
+        ("trials", 2**63),
+        ("trials", 10**20),
+        ("n_schedule", [100, 2**63]),
+    ])
+    def test_counts_numpy_cannot_take_rejected(self, field, value):
+        with pytest.raises(ConfigInvalid) as exc:
+            build_config({**SAINT_CFG, field: value})
+        assert exc.value.field == field
+
+    def test_largest_trial_count_accepted(self):
+        cfg = build_config({**SAINT_CFG, "trials": 2**63 - 1, "n_schedule": [2**63 - 1]})
+        assert cfg.trials == cfg.n_schedule[0] == 2**63 - 1
 
     def test_sweep_endpoints_pinned_over_random_sweeps(self):
         rng = np.random.default_rng(2024)
@@ -268,11 +288,7 @@ class TestRunPower:
 
 class TestRunLln:
     def test_fair_coin_table(self):
-        cfg = build_config({
-            "nature": [0.5, 0.5], "payoff": [1.0, 0.0], "epsilon": 0.1,
-            "n_schedule": [100, 1000], "reps": 300, "seed": 5,
-        })
-        rec = run_lln(cfg)
+        rec = run_lln(build_config(LLN_CFG))
         assert rec.columns == ["n", "deviation_prob", "chebyshev_bound"]
         assert rec.rows[0]["chebyshev_bound"] == pytest.approx(0.25)
         assert rec.rows[0]["deviation_prob"] >= rec.rows[1]["deviation_prob"]
@@ -442,6 +458,35 @@ class TestMain:
         out = str(tmp_path / "d.json")
         assert main(["distort", "--config", cfg_path, "--out", out, "--format", "json", "--quiet"]) == 0
         assert json.loads(open(out).read())["experiment_id"].startswith("distort-")
+
+    def test_flags_do_not_leak_into_the_next_call(self, tmp_path, caplog, monkeypatch):
+        monkeypatch.delenv("FUNWILL_SEED", raising=False)
+        doc = {k: v for k, v in SAINT_CFG.items() if k != "seed"}
+        cfg_path = write_cfg(tmp_path, {**doc, "out": str(tmp_path / "d.csv")})
+        first = ["distort", "--config", cfg_path, "--seed", "5", "--format", "json"]
+        assert main(first) == 0
+        assert json.loads((tmp_path / "d.csv").read_text())["config"]["seed"] == 5
+        assert main(["distort", "--config", cfg_path]) == 2
+        assert "config error: seed:" in caplog.text
+
+    @pytest.mark.parametrize("command, field, value", [
+        ("collapse", "trials", 10**20),
+        ("power", "trials", 10**20),
+        ("lln", "n_schedule", [100, 10**20]),
+    ])
+    def test_counts_numpy_cannot_take_exit_2(self, tmp_path, caplog, command, field, value):
+        base = LLN_CFG if command == "lln" else SAINT_CFG
+        cfg_path = write_cfg(tmp_path, {**base, field: value, "out": str(tmp_path / "c.csv")})
+        assert main([command, "--config", cfg_path]) == 2
+        assert f"config error: {field}:" in caplog.text
+
+    @pytest.mark.parametrize("change", [{"epsilon": 1e-200}, {"payoff": [1e300, 0.0]}])
+    def test_chebyshev_column_overflow_is_inf(self, tmp_path, change):
+        out = tmp_path / "l.csv"
+        cfg_path = write_cfg(tmp_path, {**LLN_CFG, **change, "out": str(out)})
+        assert main(["lln", "--config", cfg_path, "--quiet"]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [row[2] for row in rows] == ["inf", "inf"]
 
 
 def test_archetypes_text_is_deterministic():

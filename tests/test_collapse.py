@@ -77,12 +77,6 @@ class TestBuildPovm:
         )
         assert povm.coefficients[2] == 0.0
 
-    def test_records_provenance(self):
-        p, u = make_distribution([0.5, 0.5]), make_distribution([1.0, 0.0])
-        povm = build_povm(p, u, 0.25)
-        assert povm.nature == p and povm.understanding == u
-        assert povm.will.sigma == 0.25
-
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             build_povm(make_distribution([1.0]), make_distribution([0.5, 0.5]), 0.1)
@@ -169,8 +163,7 @@ class TestCollapse:
         rng = np.random.default_rng(11)
         for _ in range(200):
             out = collapse(povm, state, rng)
-            assert out.post_state.is_basis_vector()
-            assert out.post_state.amplitudes[out.index] == 1.0
+            assert out.post_state == AmplitudeState.basis(out.index, 3)
 
     def test_fair_frequencies_within_binomial_interval(self):
         # q = (0.5, 0.5), 1e5 draws: 99.9% binomial interval is inside [0.494, 0.506].
@@ -200,10 +193,10 @@ class TestCollapse:
 
 
 def test_collapse_outcome_validates_basis():
-    with pytest.raises(NotNormalized):
-        CollapseOutcome(index=0, post_state=AmplitudeState((0.5, 0.5)))
-    with pytest.raises(ValueError):
-        CollapseOutcome(index=1, post_state=AmplitudeState((1.0, 0.0)))
+    for index in (-1, 3):
+        with pytest.raises(ValueError):
+            CollapseOutcome(index, 3)
+    assert CollapseOutcome(1, 3).post_state is AmplitudeState.basis(1, 3)
 
 
 class _FixedUniform:

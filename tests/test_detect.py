@@ -21,6 +21,7 @@ from funwill.detect import (
     detection_power,
     deviation_verdicts,
     lln_concentration,
+    payoff_mean_variance,
     pearson_statistics,
     pooling_plan,
     simulate_trials,
@@ -211,6 +212,21 @@ class TestLlnConcentration:
     def test_chebyshev_bound_value(self):
         # Var of a fair-coin indicator payoff is 1/4: bound 0.25/(n eps^2).
         assert chebyshev_bound(FAIR, [1.0, 0.0], 0.1, 100) == pytest.approx(0.25)
+
+    def test_chebyshev_bound_when_n_eps_squared_underflows(self):
+        # 100 * 1e-200**2 is 0.0 in floats: the cap is inf, or 0 with no variance.
+        assert chebyshev_bound(FAIR, [1.0, 0.0], 1e-200, 100) == math.inf
+        assert chebyshev_bound(FAIR, [1.0, 1.0], 1e-200, 100) == 0.0
+
+    def test_overflowing_variance_is_inf(self):
+        assert payoff_mean_variance(FAIR, [1e300, 0.0]) == (5e299, math.inf)
+        assert chebyshev_bound(FAIR, [1e300, 0.0], 0.1, 100) == math.inf
+
+    def test_variance_survives_an_overflowing_second_moment(self):
+        # E[v^2] overflows on both payoffs, but the variance is finite.
+        assert payoff_mean_variance(FAIR, [1e200, 1e200]) == (1e200, 0.0)
+        _, var = payoff_mean_variance(FAIR, [1.3e154, 1.4e154])
+        assert var == pytest.approx(0.25 * 0.1e154**2, rel=1e-9)
 
     def test_inputs_validated(self):
         with pytest.raises(ValueError):
