@@ -30,7 +30,6 @@ import functools
 import hashlib
 import json
 import logging
-import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -56,7 +55,6 @@ from .distributions import (
 )
 from .errors import (
     ConfigInvalid,
-    DivergentGradient,
     IncompletePovm,
     InsufficientExpected,
     IoFailure,
@@ -280,16 +278,27 @@ def load_config(path: str) -> ExperimentConfig:
 # Runners
 # ---------------------------------------------------------------------------
 
-def _sigma_columns(dimension: int) -> list[str]:
-    return (
-        ["sigma"]
-        + [f"p_prime_{j}" for j in range(dimension)]
-        + ["xi_bits", "dh_dsigma", "regime", "residual", "chi2", "p_value", "verdict", "power"]
-    )
+# Each subcommand's header; "p_prime" stands for p_prime_0..p_prime_{d-1}.
+# Distort leaves the detector columns empty, so the three sigma tables agree.
+_SIGMA_TABLE = ("sigma", "p_prime", "xi_bits", "dh_dsigma", "regime",
+                "residual", "chi2", "p_value", "verdict", "power")
+_COLUMNS = {
+    "distort": _SIGMA_TABLE,
+    "collapse": _SIGMA_TABLE,
+    "power": _SIGMA_TABLE,
+    "lln": ("n", "deviation_prob", "chebyshev_bound"),
+}
 
 
-def _record(kind: str, config: ExperimentConfig, columns: list[str], rows: list[dict]) -> ResultRecord:
-    """Wrap rows with the input echo and an experiment id hashed from it."""
+def _record(kind: str, config: ExperimentConfig, cells: list[dict]) -> ResultRecord:
+    """Lay out cells under ``kind``'s header, with the input echo and an id hashed from it."""
+    columns = []
+    for name in _COLUMNS[kind]:
+        if name == "p_prime":
+            columns += [f"p_prime_{j}" for j in range(config.nature.dimension)]
+        else:
+            columns.append(name)
+    rows = [{**dict.fromkeys(columns), **cell} for cell in cells]
     echo = config.echo(kind)
     digest = hashlib.sha256(
         json.dumps({"kind": kind, "config": echo}, sort_keys=True).encode()
@@ -297,36 +306,25 @@ def _record(kind: str, config: ExperimentConfig, columns: list[str], rows: list[
     return ResultRecord(f"{kind}-{digest[:12]}", echo, columns, rows)
 
 
-def _analytics(columns: list[str], nature, understanding, sigma: float) -> dict:
-    """A row with the blend, its entropy, its gradient and the regime filled in."""
-    row = dict.fromkeys(columns)
-    row["sigma"] = sigma
+def _distribution_cells(dist: ProbabilityVector) -> dict:
+    """The p_prime cells of a distribution and its entropy."""
+    cells = {f"p_prime_{j}": w for j, w in enumerate(dist.weights)}
+    cells["xi_bits"] = unpredictability(dist)
+    return cells
+
+
+def _analytics(nature, understanding, sigma: float) -> dict:
+    """The blend's cells, its gradient (+/-inf where it diverges) and the regime."""
     blended = exercise_will(nature, understanding, sigma)
-    for j, w in enumerate(blended.weights):
-        row[f"p_prime_{j}"] = w
-    row["xi_bits"] = unpredictability(blended)
-    try:
-        row["dh_dsigma"] = _gradient(nature, understanding, blended)
-    except DivergentGradient as err:
-        row["dh_dsigma"] = math.copysign(math.inf, err.sign)
-    row["regime"] = _regime(row["dh_dsigma"])
-    return row
-
-
-def _trials_checked(test, *args, **kwargs):
-    """Run a goodness-of-fit step; too few expected counts is a ``trials`` error."""
-    try:
-        return test(*args, **kwargs)
-    except InsufficientExpected as err:
-        raise ConfigInvalid("trials", f"too few trials for a chi-squared test: {err}") from None
+    grad = _gradient(nature, understanding, blended)
+    return {"sigma": sigma, **_distribution_cells(blended), "dh_dsigma": grad, "regime": _regime(grad)}
 
 
 def run_distort(config: ExperimentConfig) -> ResultRecord:
     """Blend analytics per sigma: distribution, entropy, gradient, regime."""
     nature, understanding, _, _ = config.require("nature", "understanding", "labels", "sigma")
-    columns = _sigma_columns(nature.dimension)
-    rows = [_analytics(columns, nature, understanding, sigma) for sigma in config.sigmas]
-    return _record("distort", config, columns, rows)
+    cells = [_analytics(nature, understanding, sigma) for sigma in config.sigmas]
+    return _record("distort", config, cells)
 
 
 def run_collapse(config: ExperimentConfig) -> ResultRecord:
@@ -340,27 +338,18 @@ def run_collapse(config: ExperimentConfig) -> ResultRecord:
     nature, understanding, _, trials, seed, _ = config.require(
         "nature", "understanding", "labels", "trials", "seed", "sigma"
     )
-    columns = _sigma_columns(nature.dimension)
     state = prepare_state(nature)
-    rows = []
+    cells = []
     for i, sigma in enumerate(config.sigmas):
         povm = build_povm(nature, understanding, sigma)
         residual = check_completeness(povm, state)
-        sampling = outcome_distribution(povm, state)
-        counts = simulate_trials(sampling, trials, derive_seed(seed, i))
-        freq = counts.frequencies()
-        report = _trials_checked(chi_squared_test, counts, nature, config.alpha)
-        row = dict.fromkeys(columns)
-        row["sigma"] = sigma
-        for j, w in enumerate(freq.weights):
-            row[f"p_prime_{j}"] = w
-        row["xi_bits"] = unpredictability(freq)
-        row["residual"] = residual
-        row["chi2"] = report.statistic
-        row["p_value"] = report.p_value
-        row["verdict"] = report.verdict
-        rows.append(row)
-    return _record("collapse", config, columns, rows)
+        counts = simulate_trials(outcome_distribution(povm, state), trials, derive_seed(seed, i))
+        report = chi_squared_test(counts, nature, config.alpha)
+        cells.append({
+            "sigma": sigma, **_distribution_cells(counts.frequencies()), "residual": residual,
+            "chi2": report.statistic, "p_value": report.p_value, "verdict": report.verdict,
+        })
+    return _record("collapse", config, cells)
 
 
 def run_power(config: ExperimentConfig) -> ResultRecord:
@@ -370,17 +359,15 @@ def run_power(config: ExperimentConfig) -> ResultRecord:
     )
     if reps < 100:
         raise ConfigInvalid("reps", "power estimates need at least 100 replications")
-    columns = _sigma_columns(nature.dimension)
-    rows = []
+    cells = []
     for i, sigma in enumerate(config.sigmas):
-        row = _analytics(columns, nature, understanding, sigma)
-        row["power"] = _trials_checked(
-            detection_power, nature, understanding, sigma,
+        power = detection_power(
+            nature, understanding, sigma,
             n=trials, alpha=config.alpha, reps=reps,
             seed=derive_seed(seed, i), noise=config.noise,
         )
-        rows.append(row)
-    return _record("power", config, columns, rows)
+        cells.append({**_analytics(nature, understanding, sigma), "power": power})
+    return _record("power", config, cells)
 
 
 def run_lln(config: ExperimentConfig) -> ResultRecord:
@@ -389,7 +376,7 @@ def run_lln(config: ExperimentConfig) -> ResultRecord:
         "nature", "payoff", "epsilon", "n_schedule", "reps", "seed"
     )
     estimates = lln_concentration(nature, payoff, epsilon, schedule, reps, seed)
-    rows = [
+    cells = [
         {
             "n": n,
             "deviation_prob": prob,
@@ -397,7 +384,7 @@ def run_lln(config: ExperimentConfig) -> ResultRecord:
         }
         for n, prob in estimates
     ]
-    return _record("lln", config, ["n", "deviation_prob", "chebyshev_bound"], rows)
+    return _record("lln", config, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +540,9 @@ def main(argv=None) -> int:
         emit(record, out, config.format)
     except ConfigInvalid as err:
         logger.error("config error: %s", err)
+        return 2
+    except InsufficientExpected as err:  # raised by the chi-squared test of collapse and power
+        logger.error("config error: trials: too few trials for a chi-squared test: %s", err)
         return 2
     except (UnreachableGuidance, IncompletePovm) as err:
         logger.error("model error: %s", err)

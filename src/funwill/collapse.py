@@ -158,14 +158,18 @@ def check_completeness(povm: PovmSet, state: AmplitudeState) -> float:
     Zero (within COMPLETENESS_TOL) against the state the set was built
     for; generically nonzero against any other state.
     """
-    return abs(math.fsum(_terms(povm, state)) - 1.0)
+    return abs(_terms(povm, state)[1] - 1.0)
 
 
-def _terms(povm: PovmSet, state: AmplitudeState) -> list[float]:
-    """The completeness terms (c_j a_j)^2; raises DimensionMismatch."""
+def _terms(povm: PovmSet, state: AmplitudeState) -> tuple[list[float], float]:
+    """The completeness terms (c_j a_j)^2 and their fsum; raises DimensionMismatch."""
     if povm.dimension != state.dimension:
         raise DimensionMismatch(f"povm has dimension {povm.dimension}, state {state.dimension}")
-    return [(c * a) ** 2 for c, a in zip(povm.coefficients, state.amplitudes)]
+    try:
+        terms = [(c * a) ** 2 for c, a in zip(povm.coefficients, state.amplitudes)]
+        return terms, math.fsum(terms)
+    except OverflowError:  # float ** and fsum raise past the largest double
+        return [], math.inf  # no caller reads the terms of an infinite sum
 
 
 def _outcome_weights(povm: PovmSet, state: AmplitudeState) -> list[float]:
@@ -174,8 +178,7 @@ def _outcome_weights(povm: PovmSet, state: AmplitudeState) -> list[float]:
     Raises DimensionMismatch, or IncompletePovm when the completeness
     residual exceeds COMPLETENESS_TOL.
     """
-    raw = _terms(povm, state)
-    total = math.fsum(raw)
+    raw, total = _terms(povm, state)
     residual = abs(total - 1.0)
     if residual > COMPLETENESS_TOL:
         raise IncompletePovm(

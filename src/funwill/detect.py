@@ -310,28 +310,33 @@ def detection_power(
     return hits / reps
 
 
-def payoff_mean_variance(dist: ProbabilityVector, payoff) -> tuple[float, float]:
-    """Mean and variance of a payoff random variable under ``dist``; ``inf`` if it overflows."""
+def _scaled_moments(dist: ProbabilityVector, payoff) -> tuple[float, list[float], float, float]:
+    """s, a power of two near max|v|, the payoffs v/s and their mean and variance under ``dist``.
+
+    Dividing by a power of two is exact, so finite results keep their bits,
+    and the scaled moments are finite for every finite payoff (|v/s| < 2).
+    """
     values = [float(v) for v in payoff]
     if len(values) != dist.dimension:
         raise DimensionMismatch(f"payoff has {len(values)} entries, distribution {dist.dimension}")
-    mean = math.fsum(w * v for w, v in zip(dist.weights, values))
-    try:
-        second = math.fsum(w * v * v for w, v in zip(dist.weights, values))
-    except OverflowError:  # finite terms whose sum is not
-        second = math.inf
-    var = second - mean * mean
-    if math.isinf(second):
-        # E[v^2] overflowed, and var may be inf - inf: redo it on payoffs scaled into [-1, 1].
-        scale = max(map(abs, values))
-        var = payoff_mean_variance(dist, [v / scale for v in values])[1] * scale * scale
-    return mean, max(0.0, var)
+    # The exponent is one below frexp's so that s stays finite near the largest double.
+    s = math.ldexp(1.0, math.frexp(max(map(abs, values)))[1] - 1)
+    scaled = [v / s for v in values]
+    mean = math.fsum(w * v for w, v in zip(dist.weights, scaled))
+    var = math.fsum(w * v * v for w, v in zip(dist.weights, scaled)) - mean * mean
+    return s, scaled, mean, max(0.0, var)
+
+
+def payoff_mean_variance(dist: ProbabilityVector, payoff) -> tuple[float, float]:
+    """Mean and variance of a payoff random variable under ``dist``; ``inf`` if it overflows."""
+    s, _, mean, var = _scaled_moments(dist, payoff)
+    return mean * s, var * s * s
 
 
 def chebyshev_bound(dist: ProbabilityVector, payoff, epsilon: float, n: int) -> float:
     """Chebyshev cap Var/(n*eps^2) on Pr[|sample mean - mean| > eps]."""
-    _, var = payoff_mean_variance(dist, payoff)
-    denominator = n * epsilon * epsilon
+    s, _, _, var = _scaled_moments(dist, payoff)
+    denominator = n * (epsilon / s) * (epsilon / s)
     if denominator > 0.0:
         return var / denominator
     # n*eps^2 underflowed to 0: the cap is inf on a positive variance.
@@ -357,8 +362,7 @@ def lln_concentration(
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if reps < 1:
         raise ValueError(f"need at least one replication, got {reps}")
-    values = [float(v) for v in payoff]
-    mean, _ = payoff_mean_variance(dist, values)
+    s, scaled, mean, _ = _scaled_moments(dist, payoff)
     seed = validate_seed(seed)
     schedule = [int(n) for n in n_schedule]
     for n in schedule:
@@ -368,7 +372,7 @@ def lln_concentration(
     for i, n in enumerate(schedule):
         hits = 0
         for counts in _block_counts(n, dist.weights, reps, seed, i):
-            sample_mean = counts @ values / n
-            hits += int(np.count_nonzero(np.abs(sample_mean - mean) > epsilon))
+            sample_mean = counts @ scaled / n
+            hits += int(np.count_nonzero(np.abs(sample_mean - mean) > epsilon / s))
         out.append((n, hits / reps))
     return out

@@ -189,8 +189,14 @@ def entropy_gradient(
     u_j != p_j (the gradient is +inf at sigma=0 supports, -inf at sigma=1
     supports); the error carries the sign rather than clipping the value.
     """
-    _check_dims(nature, understanding, "nature and understanding")
-    return _gradient(nature, understanding, exercise_will(nature, understanding, will))
+    grad = _gradient(nature, understanding, exercise_will(nature, understanding, will))
+    if math.isinf(grad):
+        raise DivergentGradient(
+            f"entropy gradient diverges to {'+' if grad > 0.0 else '-'}inf "
+            "(zero effective weight where nature and understanding differ)",
+            sign=1 if grad > 0.0 else -1,
+        )
+    return grad
 
 
 def _gradient(
@@ -198,7 +204,7 @@ def _gradient(
     understanding: ProbabilityVector,
     blended: ProbabilityVector,
 ) -> float:
-    """``entropy_gradient`` at a blend the caller has already computed."""
+    """``entropy_gradient`` at a blend the caller has already computed; a divergence is +/-inf."""
     grad = 0.0
     divergent = 0.0
     for p, u, q in zip(nature.weights, understanding.weights, blended.weights):
@@ -210,12 +216,7 @@ def _gradient(
             continue
         grad -= d * math.log2(q)
     if divergent != 0.0:
-        sign = 1 if divergent > 0.0 else -1
-        raise DivergentGradient(
-            f"entropy gradient diverges to {'+' if sign > 0 else '-'}inf "
-            "(zero effective weight where nature and understanding differ)",
-            sign=sign,
-        )
+        return math.copysign(math.inf, divergent)
     return grad
 
 
@@ -230,11 +231,7 @@ def classify_regime(
     -REGIME_TOL), uncertainty_increasing when it flattens it, stationary in
     between.  Divergent gradients classify by the sign of the divergence.
     """
-    try:
-        grad = entropy_gradient(nature, understanding, will)
-    except DivergentGradient as err:
-        grad = math.copysign(math.inf, err.sign)
-    return _regime(grad)
+    return _regime(_gradient(nature, understanding, exercise_will(nature, understanding, will)))
 
 
 def _regime(grad: float) -> str:

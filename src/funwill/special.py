@@ -39,6 +39,9 @@ def _lower_series(a: float, x: float) -> float:
 
 def _upper_continued_fraction(a: float, x: float) -> float:
     """Q(a, x) by the Lentz-evaluated continued fraction."""
+    prefactor = math.exp(-x + a * math.log(x) - math.lgamma(a))
+    if prefactor == 0.0:
+        return 0.0  # Q underflows, and at such x the ratios below can cycle 1 ulp around 1 forever
     b = x + 1.0 - a
     c = 1.0 / _TINY
     d = 1.0 / b
@@ -59,7 +62,7 @@ def _upper_continued_fraction(a: float, x: float) -> float:
             break
     else:
         raise ArithmeticError(f"gamma continued fraction failed to converge for a={a}, x={x}")
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+    return h * prefactor
 
 
 def regularized_gamma_p(a: float, x: float) -> float:

@@ -22,7 +22,7 @@ from funwill.cli import (
     run_power,
 )
 from funwill.distributions import classify_regime, make_distribution
-from funwill.errors import ConfigInvalid, IoFailure
+from funwill.errors import ConfigInvalid, InsufficientExpected, IoFailure
 
 SAINT_CFG = {
     "labels": ["good", "evil"],
@@ -156,6 +156,25 @@ class TestConfigValidation:
         bad.write_bytes(b'{"seed": 1, "labels": ["\xff"]}')
         with pytest.raises(ConfigInvalid):
             load_config(str(bad))
+
+
+@pytest.mark.parametrize("runner, doc", [
+    (run_distort, SAINT_CFG),
+    (run_collapse, SAINT_CFG),
+    (run_power, SAINT_CFG),
+    (run_lln, LLN_CFG),
+])
+def test_every_row_is_laid_out_under_the_header(runner, doc):
+    rec = runner(build_config(doc))
+    assert rec.rows
+    assert all(list(row) == rec.columns for row in rec.rows)
+
+
+@pytest.mark.parametrize("runner", [run_collapse, run_power])
+def test_too_few_trials_raise_insufficient_expected(runner):
+    # main maps the error to exit 2 naming trials (TestMain.test_too_few_trials_exit_code).
+    with pytest.raises(InsufficientExpected):
+        runner(build_config({**SAINT_CFG, "trials": 3}))
 
 
 class TestRunDistort:
@@ -426,6 +445,15 @@ class TestMain:
         assert "config error: trials:" in caplog.text
         assert not os.path.exists(out)
 
+    def test_huge_chi_squared_statistic_exit_0(self, tmp_path):
+        # One hit on a 1e-263 cell gives a statistic of ~4e263, whose tail is 0.
+        out = tmp_path / "h.csv"
+        doc = {**SAINT_CFG, "nature": [1.0, 1e-263], "understanding": [0.0, 1.0],
+               "sigma": 0.5, "trials": 12, "seed": 1, "out": str(out)}
+        assert main(["collapse", "--config", write_cfg(tmp_path, doc), "--quiet"]) == 0
+        row = out.read_text().splitlines()[1].split(",")
+        assert (row[8], row[9]) == ("0", "deviation")
+
     def test_io_error_exit_code(self, tmp_path):
         cfg_path = write_cfg(tmp_path, SAINT_CFG)
         out = str(tmp_path / "no" / "dir.csv")
@@ -487,6 +515,13 @@ class TestMain:
         assert main(["lln", "--config", cfg_path, "--quiet"]) == 0
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert [row[2] for row in rows] == ["inf", "inf"]
+
+
+    def test_huge_payoff_lln_row_is_finite(self, tmp_path):
+        out = tmp_path / "l.csv"
+        doc = {**LLN_CFG, "payoff": [1e300, 0.0], "epsilon": 1e299, "n_schedule": [10**9], "out": str(out)}
+        assert main(["lln", "--config", write_cfg(tmp_path, doc), "--quiet"]) == 0
+        assert out.read_text().splitlines()[1] == "1000000000,0,2.5e-08"
 
 
 def test_archetypes_text_is_deterministic():

@@ -105,6 +105,18 @@ class TestCompleteness:
         with pytest.raises(DimensionMismatch):
             check_completeness(PovmSet((1.0, 1.0)), AmplitudeState((1.0,)))
 
+    @pytest.mark.parametrize("coefficients", [
+        (1e300, 1e300),  # each square passes the largest double
+        (1.6e154, 1.2e154),  # each square is finite, their sum is not
+    ])
+    def test_overflowing_terms_are_an_infinite_residual(self, coefficients):
+        povm, state = PovmSet(coefficients), AmplitudeState((0.6, 0.8))
+        assert check_completeness(povm, state) == math.inf
+        for sample in (outcome_distribution, lambda *a: collapse(*a, np.random.default_rng(0))):
+            with pytest.raises(IncompletePovm) as exc:
+                sample(povm, state)
+            assert exc.value.residual == math.inf
+
 
 class TestOutcomeDistribution:
     def test_quantum_classical_equivalence_on_random_triples(self):

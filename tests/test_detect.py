@@ -222,6 +222,11 @@ class TestLlnConcentration:
         assert payoff_mean_variance(FAIR, [1e300, 0.0]) == (5e299, math.inf)
         assert chebyshev_bound(FAIR, [1e300, 0.0], 0.1, 100) == math.inf
 
+    def test_huge_payoff_sample_mean_does_not_overflow(self):
+        # The sample mean's SD at n = 1e9 is ~1.6e295, far below epsilon.
+        assert lln_concentration(FAIR, [1e300, 0.0], 1e299, [10**9], reps=200, seed=3) == [(10**9, 0.0)]
+        assert chebyshev_bound(FAIR, [1e300, 0.0], 1e299, 10**9) == pytest.approx(2.5e-8, rel=1e-12)
+
     def test_variance_survives_an_overflowing_second_moment(self):
         # E[v^2] overflows on both payoffs, but the variance is finite.
         assert payoff_mean_variance(FAIR, [1e200, 1e200]) == (1e200, 0.0)

@@ -12,6 +12,7 @@ from funwill.distributions import (
     ChoiceSpace,
     ProbabilityVector,
     WillStrength,
+    _gradient,
     classify_regime,
     entropy_gradient,
     exercise_will,
@@ -199,14 +200,17 @@ class TestEntropyGradient:
             checked += 1
 
     def test_divergence_reported_with_sign(self):
-        p = make_distribution([0.5, 0.5])
+        """``_gradient`` gives the divergence as +/-inf; ``entropy_gradient`` raises it."""
         u = make_distribution([1.0, 0.0])
-        with pytest.raises(DivergentGradient) as exc:
-            entropy_gradient(p, u, 1.0)  # blend support loses the second outcome
-        assert exc.value.sign == -1
-        with pytest.raises(DivergentGradient) as exc:
-            entropy_gradient(make_distribution([0.0, 1.0]), u, 0.0)
-        assert exc.value.sign == +1
+        for nature, sigma, sign in (
+            ([0.5, 0.5], 1.0, -1),  # the saint at full will: the blend loses the second outcome
+            ([0.0, 1.0], 0.0, +1),  # the baseline lacks the outcome guidance wants
+        ):
+            p = make_distribution(nature)
+            assert _gradient(p, u, exercise_will(p, u, sigma)) == sign * math.inf
+            with pytest.raises(DivergentGradient) as exc:
+                entropy_gradient(p, u, sigma)
+            assert exc.value.sign == sign
 
 
 class TestClassifyRegime:

@@ -77,6 +77,15 @@ def test_edges_and_complements():
             assert p + q == pytest.approx(1.0, abs=1e-12)
 
 
+def test_huge_statistics_have_a_zero_tail():
+    # Beyond ~1e18 the continued fraction's ratios can cycle 1 ulp around 1
+    # forever; at these sizes the tail has long underflowed.
+    for x in (4.0833333333333335e263, 1.1298418899047351e18, 1e300, 1.7e308):
+        for dof in (1, 2, 5):
+            assert chi_squared_sf(x, dof) == 0.0
+            assert regularized_gamma_p(dof / 2.0, x / 2.0) == 1.0
+
+
 def test_monotone_in_statistic():
     values = [chi_squared_sf(x, 5) for x in (0.1, 1.0, 3.0, 7.0, 20.0, 60.0)]
     assert all(a > b for a, b in zip(values, values[1:]))
