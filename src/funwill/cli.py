@@ -30,28 +30,31 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
 from . import agents
-from .collapse import build_povm, check_completeness, outcome_distribution, prepare_state
+from .collapse import _coefficients, _realized, _unreachable, prepare_state
 from .detect import (
     NoiseLevel,
     chebyshev_bound,
-    chi_squared_test,
     detection_power,
     lln_concentration,
-    simulate_trials,
+    pearson_test,
+    pooling_plan,
 )
 from .distributions import (
     ChoiceSpace,
     ProbabilityVector,
+    _blend_weights,
+    _entropy,
     _gradient,
     _regime,
-    exercise_will,
     make_distribution,
-    unpredictability,
 )
 from .errors import (
     ConfigInvalid,
@@ -291,14 +294,18 @@ _COLUMNS = {
 
 
 def _record(kind: str, config: ExperimentConfig, cells: list[dict]) -> ResultRecord:
-    """Lay out cells under ``kind``'s header, with the input echo and an id hashed from it."""
-    columns = []
-    for name in _COLUMNS[kind]:
-        if name == "p_prime":
-            columns += [f"p_prime_{j}" for j in range(config.nature.dimension)]
-        else:
-            columns.append(name)
-    rows = [{**dict.fromkeys(columns), **cell} for cell in cells]
+    """Lay out cells under ``kind``'s header, with the input echo and an id hashed from it.
+
+    A cell's "p_prime" entry holds the values of p_prime_0..p_prime_{d-1}.
+    """
+    p_prime = [f"p_prime_{j}" for j in range(config.nature.dimension)]
+    columns = [column for name in _COLUMNS[kind] for column in (p_prime if name == "p_prime" else [name])]
+    rows = []
+    for cell in cells:
+        row = dict.fromkeys(columns)
+        row.update(cell)
+        row.update(zip(p_prime, row.pop("p_prime", ())))
+        rows.append(row)
     echo = config.echo(kind)
     digest = hashlib.sha256(
         json.dumps({"kind": kind, "config": echo}, sort_keys=True).encode()
@@ -306,25 +313,27 @@ def _record(kind: str, config: ExperimentConfig, cells: list[dict]) -> ResultRec
     return ResultRecord(f"{kind}-{digest[:12]}", echo, columns, rows)
 
 
-def _distribution_cells(dist: ProbabilityVector) -> dict:
-    """The p_prime cells of a distribution and its entropy."""
-    cells = {f"p_prime_{j}": w for j, w in enumerate(dist.weights)}
-    cells["xi_bits"] = unpredictability(dist)
+def _distribution_cells(weights: list[float]) -> dict:
+    """The p_prime cells of a distribution's weights and its entropy."""
+    return {"p_prime": weights, "xi_bits": _entropy(weights)}
+
+
+def _analytics(nature, understanding, sigmas) -> list[dict]:
+    """Per sigma, the blend's cells, its gradient (+/-inf where it diverges) and the regime."""
+    p, u = nature.weights, understanding.weights
+    cells = []
+    for sigma, blend in zip(sigmas, _blend_weights(nature, understanding, sigmas)):
+        grad = _gradient(p, u, blend)
+        cells.append(
+            {"sigma": sigma, **_distribution_cells(blend), "dh_dsigma": grad, "regime": _regime(grad)}
+        )
     return cells
-
-
-def _analytics(nature, understanding, sigma: float) -> dict:
-    """The blend's cells, its gradient (+/-inf where it diverges) and the regime."""
-    blended = exercise_will(nature, understanding, sigma)
-    grad = _gradient(nature, understanding, blended)
-    return {"sigma": sigma, **_distribution_cells(blended), "dh_dsigma": grad, "regime": _regime(grad)}
 
 
 def run_distort(config: ExperimentConfig) -> ResultRecord:
     """Blend analytics per sigma: distribution, entropy, gradient, regime."""
     nature, understanding, _, _ = config.require("nature", "understanding", "labels", "sigma")
-    cells = [_analytics(nature, understanding, sigma) for sigma in config.sigmas]
-    return _record("distort", config, cells)
+    return _record("distort", config, _analytics(nature, understanding, config.sigmas))
 
 
 def run_collapse(config: ExperimentConfig) -> ResultRecord:
@@ -333,21 +342,31 @@ def run_collapse(config: ExperimentConfig) -> ResultRecord:
     Each row records the completeness residual of the measurement set, the
     empirical outcome frequencies of ``trials`` collapses (in the p_prime
     columns), their entropy, and the chi-squared report against the
-    baseline distribution (the Born null).
+    baseline distribution (the Born null).  Row i draws from
+    ``default_rng(derive_seed(seed, i))``, so any row replays alone through
+    ``build_povm``, ``outcome_distribution``, ``simulate_trials`` and
+    ``chi_squared_test``.
     """
     nature, understanding, _, trials, seed, _ = config.require(
         "nature", "understanding", "labels", "trials", "seed", "sigma"
     )
-    state = prepare_state(nature)
+    sigmas = config.sigmas
+    amplitudes = prepare_state(nature).amplitudes
+    unreachable = _unreachable(nature, understanding)
+    grid = _coefficients(nature, understanding, sigmas).tolist()
+    plan = None
     cells = []
-    for i, sigma in enumerate(config.sigmas):
-        povm = build_povm(nature, understanding, sigma)
-        residual = check_completeness(povm, state)
-        counts = simulate_trials(outcome_distribution(povm, state), trials, derive_seed(seed, i))
-        report = chi_squared_test(counts, nature, config.alpha)
+    for i, (sigma, coefficients) in enumerate(zip(sigmas, grid)):
+        if sigma > 0.0 and unreachable is not None:
+            raise unreachable
+        weights, residual = _realized(coefficients, amplitudes)
+        counts = np.random.default_rng(derive_seed(seed, i)).multinomial(trials, weights).tolist()
+        if plan is None:  # after the first row's model errors, which take precedence
+            plan = pooling_plan(nature, trials)
+        statistic, p_value, verdict = pearson_test(counts, plan, config.alpha)
         cells.append({
-            "sigma": sigma, **_distribution_cells(counts.frequencies()), "residual": residual,
-            "chi2": report.statistic, "p_value": report.p_value, "verdict": report.verdict,
+            "sigma": sigma, **_distribution_cells([c / trials for c in counts]), "residual": residual,
+            "chi2": statistic, "p_value": p_value, "verdict": verdict,
         })
     return _record("collapse", config, cells)
 
@@ -359,14 +378,13 @@ def run_power(config: ExperimentConfig) -> ResultRecord:
     )
     if reps < 100:
         raise ConfigInvalid("reps", "power estimates need at least 100 replications")
-    cells = []
-    for i, sigma in enumerate(config.sigmas):
-        power = detection_power(
-            nature, understanding, sigma,
+    cells = _analytics(nature, understanding, config.sigmas)
+    for i, row in enumerate(cells):
+        row["power"] = detection_power(
+            nature, understanding, row["sigma"],
             n=trials, alpha=config.alpha, reps=reps,
             seed=derive_seed(seed, i), noise=config.noise,
         )
-        cells.append({**_analytics(nature, understanding, sigma), "power": power})
     return _record("power", config, cells)
 
 
@@ -412,14 +430,35 @@ def render_csv(record: ResultRecord) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_cell(value) -> str:
+    """A flat row's value as ``json.dumps`` writes it after 12-digit rounding."""
+    if value is None:
+        return "null"
+    if isinstance(value, float) and math.isfinite(value):
+        return repr(float(f"{value:.12g}"))  # json writes finite floats by float.__repr__
+    return json.dumps(_round12(value))
+
+
 def render_json(record: ResultRecord) -> str:
-    doc = {
+    """The record as ``json.dumps(doc, indent=2)`` of its 12-digit-rounded document.
+
+    The header goes through ``json.dumps``; the rows, whose values are flat,
+    are joined line by line in the same layout.
+    """
+    head = json.dumps({
         "experiment_id": record.experiment_id,
         "config": {k: _round12(v) for k, v in record.config.items()},
         "columns": record.columns,
-        "rows": [{c: _round12(row[c]) for c in record.columns} for row in record.rows],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+        "rows": [],
+    }, indent=2)
+    if not record.rows:
+        return head + "\n"
+    keys = [f'      {json.dumps(c)}: ' for c in record.columns]
+    rows = []
+    for row in record.rows:
+        lines = [key + _json_cell(row[c]) for key, c in zip(keys, record.columns)]
+        rows.append("    {\n" + ",\n".join(lines) + "\n    }" if lines else "    {}")
+    return head[:-len("[]\n}")] + "[\n" + ",\n".join(rows) + "\n  ]\n}\n"
 
 
 def emit(record: ResultRecord, path: str, fmt: str) -> str:

@@ -35,7 +35,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .distributions import ProbabilityVector, WillStrength, _as_sigma, _check_dims
+from .distributions import ProbabilityVector, WillStrength, _as_sigma, _blend_grid, _check_dims
 from .errors import DimensionMismatch, IncompletePovm, NotNormalized, UnreachableGuidance
 
 # Completeness residual above this rejects the povm/state pairing.
@@ -131,25 +131,48 @@ def build_povm(
     """Construct the state-dependent measurement for a (P, U, sigma) triple.
 
     c_j = sqrt((sigma*u_j + (1-sigma)*p_j) / p_j) on the support of P, and
-    0 where p_j = 0.  Raises UnreachableGuidance when sigma > 0 and the
-    guidance puts weight on an outcome with p_j = 0: the formula divides by
-    p_j there, and no diagonal operator acting on a zero amplitude can make
-    the completeness sum reach 1.
+    0 where p_j = 0; where the quotient overflows (a subnormal p_j) it is
+    taken as sqrt(numerator) / sqrt(p_j).  Raises UnreachableGuidance when
+    sigma > 0 and the guidance puts weight on an outcome with p_j = 0: the
+    formula divides by p_j there, and no diagonal operator acting on a zero
+    amplitude can make the completeness sum reach 1.
     """
     _check_dims(nature, understanding, "nature and understanding")
     sigma = _as_sigma(will)
-    coeffs = []
+    unreachable = _unreachable(nature, understanding)
+    if sigma > 0.0 and unreachable is not None:
+        raise unreachable
+    return PovmSet(tuple(_coefficients(nature, understanding, (sigma,))[0].tolist()))
+
+
+def _unreachable(nature: ProbabilityVector, understanding: ProbabilityVector) -> UnreachableGuidance | None:
+    """The error for the first outcome guidance wants but the baseline rules out, if any.
+
+    Raise it for every sigma > 0.
+    """
     for j, (p, u) in enumerate(zip(nature.weights, understanding.weights)):
-        if p == 0.0:
-            if sigma > 0.0 and u > 0.0:
-                raise UnreachableGuidance(
-                    f"guidance weight {u} on outcome {j} is unreachable: "
-                    "the baseline assigns it zero probability"
-                )
-            coeffs.append(0.0)
-        else:
-            coeffs.append(math.sqrt((sigma * u + (1.0 - sigma) * p) / p))
-    return PovmSet(tuple(coeffs))
+        if p == 0.0 and u > 0.0:
+            return UnreachableGuidance(
+                f"guidance weight {u} on outcome {j} is unreachable: "
+                "the baseline assigns it zero probability"
+            )
+    return None
+
+
+def _coefficients(nature: ProbabilityVector, understanding: ProbabilityVector, sigmas) -> np.ndarray:
+    """The coefficients of ``build_povm`` at each sigma, as a (len(sigmas), d) array.
+
+    c_j = sqrt(q_j / p_j) for the unclamped blend q, and 0 where p_j = 0
+    (the caller has ruled out guidance there).  Division and square root
+    are correctly rounded, so each entry has the bits of the scalar formula.
+    Where q_j / p_j overflows (a subnormal p_j), c_j = sqrt(q_j) / sqrt(p_j),
+    which is finite.
+    """
+    p = np.asarray(nature.weights)
+    q = _blend_grid(nature, understanding, sigmas)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        c = np.where(p > 0.0, np.sqrt(q / p), 0.0)
+        return np.where(np.isinf(c), np.sqrt(q) / np.sqrt(p), c)
 
 
 def check_completeness(povm: PovmSet, state: AmplitudeState) -> float:
@@ -158,27 +181,28 @@ def check_completeness(povm: PovmSet, state: AmplitudeState) -> float:
     Zero (within COMPLETENESS_TOL) against the state the set was built
     for; generically nonzero against any other state.
     """
-    return abs(_terms(povm, state)[1] - 1.0)
+    return abs(_terms(povm.coefficients, state.amplitudes)[1] - 1.0)
 
 
-def _terms(povm: PovmSet, state: AmplitudeState) -> tuple[list[float], float]:
-    """The completeness terms (c_j a_j)^2 and their fsum; raises DimensionMismatch."""
-    if povm.dimension != state.dimension:
-        raise DimensionMismatch(f"povm has dimension {povm.dimension}, state {state.dimension}")
+def _terms(coefficients, amplitudes) -> tuple[list[float], float]:
+    """The completeness terms (c_j a_j)^2 of plain floats and their fsum; raises DimensionMismatch."""
+    if len(coefficients) != len(amplitudes):
+        raise DimensionMismatch(f"povm has dimension {len(coefficients)}, state {len(amplitudes)}")
     try:
-        terms = [(c * a) ** 2 for c, a in zip(povm.coefficients, state.amplitudes)]
+        terms = [(c * a) ** 2 for c, a in zip(coefficients, amplitudes)]
         return terms, math.fsum(terms)
     except OverflowError:  # float ** and fsum raise past the largest double
         return [], math.inf  # no caller reads the terms of an infinite sum
 
 
-def _outcome_weights(povm: PovmSet, state: AmplitudeState) -> list[float]:
-    """Validated outcome probabilities q_j = (c_j a_j)^2 / sum_k (c_k a_k)^2.
+def _realized(coefficients, amplitudes) -> tuple[list[float], float]:
+    """Outcome probabilities q_j = (c_j a_j)^2 / sum_k (c_k a_k)^2 of plain
+    floats, and the completeness residual.
 
-    Raises DimensionMismatch, or IncompletePovm when the completeness
-    residual exceeds COMPLETENESS_TOL.
+    Raises DimensionMismatch, or IncompletePovm when the residual exceeds
+    COMPLETENESS_TOL.
     """
-    raw, total = _terms(povm, state)
+    raw, total = _terms(coefficients, amplitudes)
     residual = abs(total - 1.0)
     if residual > COMPLETENESS_TOL:
         raise IncompletePovm(
@@ -186,7 +210,7 @@ def _outcome_weights(povm: PovmSet, state: AmplitudeState) -> list[float]:
             "this measurement set was not built for this state",
             residual=residual,
         )
-    return [q / total for q in raw]
+    return [q / total for q in raw], residual
 
 
 def _pick(cdf, u: float) -> int:
@@ -206,7 +230,7 @@ def outcome_distribution(povm: PovmSet, state: AmplitudeState) -> ProbabilityVec
     applied to prepare_state(P), q equals the classical blend
     sigma*U + (1-sigma)*P to within float rounding.
     """
-    return ProbabilityVector(tuple(_outcome_weights(povm, state)))
+    return ProbabilityVector(tuple(_realized(povm.coefficients, state.amplitudes)[0]))
 
 
 def collapse(
@@ -218,7 +242,7 @@ def collapse(
     uniform from the caller's stream.  No global randomness: reproducibility
     is entirely the caller's seed discipline.
     """
-    weights = _outcome_weights(povm, state)
+    weights = _realized(povm.coefficients, state.amplitudes)[0]
     index = _pick(list(accumulate(weights)), rng.random())
     return CollapseOutcome(index, len(weights))
 
@@ -236,5 +260,5 @@ def collapse_many(
     """
     if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 0:
         raise ValueError(f"size must be a nonnegative integer, got {size!r}")
-    cdf = np.cumsum(_outcome_weights(povm, state))
+    cdf = np.cumsum(_realized(povm.coefficients, state.amplitudes)[0])
     return np.minimum(np.searchsorted(cdf, rng.random(int(size)), side="right"), len(cdf) - 1)

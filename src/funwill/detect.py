@@ -178,8 +178,13 @@ def chi_squared_test(
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"significance level must lie in (0, 1), got {alpha}")
     plan = pooling_plan(expected, observed.total)
+    statistic, p_value, verdict = pearson_test(observed.counts, plan, alpha)
+    return TestReport(statistic=statistic, p_value=p_value, dof=plan.dof, verdict=verdict)
 
-    counts = observed.counts
+
+def pearson_test(counts, plan: PoolingPlan, alpha: float) -> tuple[float, float, str]:
+    """Statistic, p-value and verdict of ``chi_squared_test`` for a sequence
+    of integer counts whose total ``plan`` was made for."""
     if any(counts[j] for j in plan.impossible):
         statistic, p_value = math.inf, 0.0
     else:
@@ -188,8 +193,7 @@ def chi_squared_test(
             cells.append(float(sum(counts[j] for j in plan.pooled)))
         statistic = math.fsum((o - e) ** 2 / e for e, o in zip(plan.expected, cells))
         p_value = chi_squared_sf(statistic, plan.dof)
-    verdict = DEVIATION if p_value < alpha else CONSISTENT
-    return TestReport(statistic=statistic, p_value=p_value, dof=plan.dof, verdict=verdict)
+    return statistic, p_value, DEVIATION if p_value < alpha else CONSISTENT
 
 
 def pearson_statistics(counts: np.ndarray, plan: PoolingPlan) -> np.ndarray:

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     AllZero,
     DimensionMismatch,
@@ -168,9 +170,31 @@ def exercise_will(
     )
 
 
+def _blend_grid(nature: ProbabilityVector, understanding: ProbabilityVector, sigmas) -> np.ndarray:
+    """The unclamped blend s*u + (1-s)*p at each sigma, as a (len(sigmas), d) array.
+
+    The arithmetic is elementwise and in exercise_will's order, so each row
+    has the bits of its blend before ProbabilityVector clamps a weight just
+    above 1.  The sigmas must already lie in [0, 1].
+    """
+    s = np.asarray(sigmas, dtype=float)[:, None]
+    return s * np.asarray(understanding.weights) + (1.0 - s) * np.asarray(nature.weights)
+
+
+def _blend_weights(nature: ProbabilityVector, understanding: ProbabilityVector, sigmas) -> list[list[float]]:
+    """The weights of ``exercise_will`` at each sigma, as plain floats: the
+    blend grid with ProbabilityVector's clamp of a weight just above 1."""
+    return np.minimum(_blend_grid(nature, understanding, sigmas), 1.0).tolist()
+
+
 def unpredictability(dist: ProbabilityVector) -> float:
     """Shannon entropy of the distribution in bits, in [0, log2 n]."""
-    h = -math.fsum(w * math.log2(w) for w in dist.weights if w > 0.0)
+    return _entropy(dist.weights)
+
+
+def _entropy(weights) -> float:
+    """``unpredictability`` of plain weights."""
+    h = -math.fsum(w * math.log2(w) for w in weights if w > 0.0)
     return h + 0.0  # normalize -0.0 from degenerate vectors
 
 
@@ -189,7 +213,8 @@ def entropy_gradient(
     u_j != p_j (the gradient is +inf at sigma=0 supports, -inf at sigma=1
     supports); the error carries the sign rather than clipping the value.
     """
-    grad = _gradient(nature, understanding, exercise_will(nature, understanding, will))
+    blended = exercise_will(nature, understanding, will).weights
+    grad = _gradient(nature.weights, understanding.weights, blended)
     if math.isinf(grad):
         raise DivergentGradient(
             f"entropy gradient diverges to {'+' if grad > 0.0 else '-'}inf "
@@ -199,15 +224,12 @@ def entropy_gradient(
     return grad
 
 
-def _gradient(
-    nature: ProbabilityVector,
-    understanding: ProbabilityVector,
-    blended: ProbabilityVector,
-) -> float:
-    """``entropy_gradient`` at a blend the caller has already computed; a divergence is +/-inf."""
+def _gradient(nature, understanding, blended) -> float:
+    """``entropy_gradient`` from the weights of P, U and a blend the caller
+    has already computed; a divergence is +/-inf."""
     grad = 0.0
     divergent = 0.0
-    for p, u, q in zip(nature.weights, understanding.weights, blended.weights):
+    for p, u, q in zip(nature, understanding, blended):
         d = u - p
         if d == 0.0:
             continue
@@ -231,7 +253,8 @@ def classify_regime(
     -REGIME_TOL), uncertainty_increasing when it flattens it, stationary in
     between.  Divergent gradients classify by the sign of the divergence.
     """
-    return _regime(_gradient(nature, understanding, exercise_will(nature, understanding, will)))
+    blended = exercise_will(nature, understanding, will).weights
+    return _regime(_gradient(nature.weights, understanding.weights, blended))
 
 
 def _regime(grad: float) -> str:

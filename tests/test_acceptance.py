@@ -7,12 +7,15 @@ the module-level contracts; everything runs in well under two minutes.
 
 import json
 import math
+import os
+import pathlib
 import subprocess
 import sys
 from contextlib import contextmanager
 
 import numpy as np
 
+import funwill
 from funwill.agents import agent_unpredictability, archetype
 from funwill.collapse import build_povm, check_completeness, outcome_distribution, prepare_state
 from funwill.detect import DEVIATION, chebyshev_bound, chi_squared_test, detection_power, lln_concentration, simulate_trials
@@ -167,13 +170,16 @@ def test_criterion_9_cli_reproducibility(tmp_path):
         }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
+        # The child imports the funwill under test, however this process found it.
+        src = str(pathlib.Path(funwill.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         outputs = []
         for name in ("a.json", "b.json"):
             out = tmp_path / name
             proc = subprocess.run(
                 [sys.executable, "-m", "funwill", "collapse",
                  "--config", str(cfg_path), "--out", str(out), "--quiet"],
-                capture_output=True,
+                capture_output=True, env=env,
             )
             assert proc.returncode == 0, proc.stderr.decode()
             outputs.append(out.read_bytes())

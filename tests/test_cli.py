@@ -21,8 +21,23 @@ from funwill.cli import (
     run_lln,
     run_power,
 )
-from funwill.distributions import classify_regime, make_distribution
-from funwill.errors import ConfigInvalid, InsufficientExpected, IoFailure
+from funwill.collapse import build_povm, check_completeness, outcome_distribution, prepare_state
+from funwill.detect import chi_squared_test, simulate_trials
+from funwill.distributions import (
+    classify_regime,
+    entropy_gradient,
+    exercise_will,
+    make_distribution,
+    unpredictability,
+)
+from funwill.errors import (
+    ConfigInvalid,
+    DivergentGradient,
+    InsufficientExpected,
+    IoFailure,
+    UnreachableGuidance,
+)
+from funwill.seeding import derive_seed
 
 SAINT_CFG = {
     "labels": ["good", "evil"],
@@ -211,19 +226,19 @@ class TestRunDistort:
         )
 
     def test_one_gradient_per_row(self, monkeypatch):
-        """Each row blends once, and its gradient and regime reuse that blend."""
+        """The sweep blends once for the whole grid, and each row's gradient
+        and regime reuse its row of that blend."""
         from funwill import cli, distributions
 
         calls = Counter()
-        for module in (cli, distributions):
-            for name in ("_gradient", "exercise_will"):
-                monkeypatch.setattr(
-                    module, name,
-                    lambda *args, _f=getattr(module, name), _n=name: calls.update([_n]) or _f(*args),
-                )
+        for module, name in ((cli, "_gradient"), (cli, "_blend_weights"), (distributions, "exercise_will")):
+            monkeypatch.setattr(
+                module, name,
+                lambda *args, _f=getattr(module, name), _n=name: calls.update([_n]) or _f(*args),
+            )
         rec = run_distort(build_config(SAINT_CFG))
         assert len(rec.rows) == 11
-        assert calls == {"_gradient": 11, "exercise_will": 11}
+        assert calls == {"_gradient": 11, "_blend_weights": 1}
         assert [row["regime"] for row in rec.rows] == [
             classify_regime(make_distribution([0.5, 0.5]), make_distribution([1.0, 0.0]), s)
             for s in (row["sigma"] for row in rec.rows)
@@ -275,6 +290,104 @@ class TestRunCollapse:
                 p = a_row[f"p_prime_{j}"]
                 slack = 4.0 * math.sqrt(p * (1.0 - p) / doc["trials"])
                 assert abs(s_row[f"p_prime_{j}"] - p) <= slack
+
+
+# The benchmark's 16-outcome sweep at 21 sigma points.
+SWEEP16_CFG = {
+    "labels": [f"o{j}" for j in range(16)],
+    "nature": [0.02] * 8 + [0.105] * 8,
+    "understanding": [0.25, 0.25, 0.5] + [0.0] * 13,
+    "sigma": {"start": 0.0, "stop": 1.0, "steps": 21},
+    "trials": 10_000,
+    "seed": 1414,
+}
+
+# Outcome 3 is expected 3 times in 1000 trials, so Pearson pools it, and
+# outcome 4 has probability zero under both vectors: an impossible cell.
+POOLED_CFG = {
+    "labels": ["a", "b", "c", "d", "e"],
+    "nature": [0.5, 0.3, 0.197, 0.003, 0.0],
+    "understanding": [0.1, 0.1, 0.1, 0.7, 0.0],
+    "sigma": {"start": 0.0, "stop": 1.0, "steps": 11},
+    "trials": 1000,
+    "seed": 77,
+}
+
+
+def reference_rows(kind, config):
+    """The rows of ``kind`` from the public per-row API, one sigma at a time."""
+    nature, understanding = config.nature, config.understanding
+    state = prepare_state(nature)
+    rows = []
+    for i, sigma in enumerate(config.sigmas):
+        row = dict.fromkeys(["dh_dsigma", "regime", "residual", "chi2", "p_value", "verdict", "power"])
+        if kind == "distort":
+            dist = exercise_will(nature, understanding, sigma)
+            try:
+                grad = entropy_gradient(nature, understanding, sigma)
+            except DivergentGradient as err:
+                grad = math.copysign(math.inf, err.sign)
+            row.update(dh_dsigma=grad, regime=classify_regime(nature, understanding, sigma))
+        else:
+            povm = build_povm(nature, understanding, sigma)
+            residual = check_completeness(povm, state)
+            dist = outcome_distribution(povm, state)
+            counts = simulate_trials(dist, config.trials, derive_seed(config.seed, i))
+            report = chi_squared_test(counts, nature, config.alpha)
+            dist = counts.frequencies()
+            row.update(residual=residual, chi2=report.statistic, p_value=report.p_value,
+                       verdict=report.verdict)
+        row.update({f"p_prime_{j}": w for j, w in enumerate(dist.weights)})
+        row.update(sigma=sigma, xi_bits=unpredictability(dist))
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestSweepEquivalence:
+    """The array-native sweeps give exactly the rows of the per-row API."""
+
+    @pytest.mark.parametrize("doc", [SWEEP16_CFG, POOLED_CFG, SAINT_CFG], ids=["sweep16", "pooled", "saint"])
+    @pytest.mark.parametrize("runner", [run_distort, run_collapse], ids=["distort", "collapse"])
+    def test_rows_equal_the_per_row_api(self, runner, doc):
+        config = build_config(doc)
+        assert runner(config).rows == reference_rows(runner.__name__.removeprefix("run_"), config)
+
+    def test_one_pooling_plan_and_one_seed_per_row(self, monkeypatch):
+        from funwill import cli
+
+        plans, seeds = [], []
+        pooling_plan, derive = cli.pooling_plan, cli.derive_seed
+        monkeypatch.setattr(cli, "pooling_plan", lambda *a: plans.append(a) or pooling_plan(*a))
+        monkeypatch.setattr(cli, "derive_seed", lambda *a: seeds.append(a) or derive(*a))
+        config = build_config(SWEEP16_CFG)
+        run_collapse(config)
+        assert plans == [(config.nature, config.trials)]
+        assert seeds == [(config.seed, i) for i in range(21)]
+
+    def test_unreachable_guidance_names_the_first_outcome(self, tmp_path, caplog):
+        doc = {**SWEEP16_CFG, "labels": list("abcd"), "nature": [0.5, 0.0, 0.5, 0.0],
+               "understanding": [0.2, 0.3, 0.1, 0.4], "out": str(tmp_path / "u.csv")}
+        assert main(["collapse", "--config", write_cfg(tmp_path, doc), "--quiet"]) == 3
+        assert "guidance weight 0.3 on outcome 1 is unreachable" in caplog.text
+        with pytest.raises(UnreachableGuidance, match="weight 0.3 on outcome 1 "):
+            run_collapse(build_config(doc))
+
+    @pytest.mark.parametrize("sigma, code", [
+        (0.5, 3),  # the first row's measurement is unreachable before any test
+        ({"start": 0.0, "stop": 1.0, "steps": 3}, 2),  # the first row reaches its too-small test
+    ])
+    def test_first_row_error_takes_precedence(self, tmp_path, sigma, code):
+        doc = {"labels": ["g", "e"], "nature": [0.0, 1.0], "understanding": [1.0, 0.0],
+               "sigma": sigma, "trials": 3, "seed": 1, "out": str(tmp_path / "p.csv")}
+        assert main(["collapse", "--config", write_cfg(tmp_path, doc), "--quiet"]) == code
+
+    def test_subnormal_baseline_weight_exit_0(self, tmp_path):
+        out = tmp_path / "s.json"
+        doc = {"labels": ["a", "b"], "nature": [1.0, 1e-310], "understanding": [0.0, 1.0],
+               "sigma": 0.5, "trials": 1000, "seed": 3, "out": str(out), "format": "json"}
+        assert main(["collapse", "--config", write_cfg(tmp_path, doc), "--quiet"]) == 0
+        assert json.loads(out.read_text())["rows"][0]["residual"] <= 1e-9
 
 
 class TestRunPower:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from funwill.collapse import (
+    COMPLETENESS_TOL,
     AmplitudeState,
     CollapseOutcome,
     PovmSet,
@@ -80,6 +81,27 @@ class TestBuildPovm:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             build_povm(make_distribution([1.0]), make_distribution([0.5, 0.5]), 0.1)
+
+    def test_coefficients_have_the_scalar_formulas_bits(self):
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            n = int(rng.integers(2, 8))
+            p, u = random_positive_dist(rng, n), random_positive_dist(rng, n)
+            sigma = float(rng.random())
+            expected = tuple(
+                math.sqrt((sigma * uj + (1.0 - sigma) * pj) / pj) for pj, uj in zip(p.weights, u.weights)
+            )
+            assert build_povm(p, u, sigma).coefficients == expected
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_baseline_weight_gives_a_finite_coefficient(self):
+        # (0.5 / 1e-310) overflows; sqrt(0.5) / sqrt(1e-310) does not.
+        nature = make_distribution([1.0, 1e-310])
+        povm = build_povm(nature, make_distribution([0.0, 1.0]), 0.5)
+        assert povm.coefficients == (math.sqrt(0.5), math.sqrt(0.5) / math.sqrt(1e-310))
+        state = prepare_state(nature)
+        assert check_completeness(povm, state) <= COMPLETENESS_TOL
+        assert outcome_distribution(povm, state).weights == pytest.approx((0.5, 0.5), abs=1e-15)
 
 
 class TestCompleteness:

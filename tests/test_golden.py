@@ -88,9 +88,24 @@ CONFIGS = {
     },
 }
 
+# The benchmark's 16-outcome sweep at 21 sigma points: 16 p_prime columns
+# per row, 13 zero-guidance outcomes that empty out as sigma -> 1 (so -inf
+# gradients and zero frequencies at sigma 1).  Every null cell expects at
+# least 200 counts, so nothing pools here; tests/test_cli.py covers pooling.
+SWEEP16 = {
+    "labels": [f"o{j}" for j in range(16)],
+    "nature": [0.02] * 8 + [0.105] * 8,
+    "understanding": [0.25, 0.25, 0.5] + [0.0] * 13,
+    "sigma": {"start": 0.0, "stop": 1.0, "steps": 21},
+    "trials": 10000,
+    "seed": 1414,
+}
+CONFIGS["distort_sweep16"] = CONFIGS["collapse_sweep16"] = SWEEP16
+
 OUTPUTS = (
     "collapse.csv", "collapse.json", "distort.csv", "distort.json", "distort_ints.json",
     "lln.csv", "lln.json", "lln_ints.json", "power.csv", "power.json",
+    "distort_sweep16.json", "collapse_sweep16.json",
 )
 
 DRAW_SEED = 1789

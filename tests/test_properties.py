@@ -1,16 +1,19 @@
 """Property tests: invariants of the blend, the collapse realization, the
-batched detector and the weak-law outputs, over generated inputs.
+batched detector, the weak-law outputs and the JSON emitter, over
+generated inputs.
 
 Examples are derandomized, so every run checks the same inputs, and capped
 so that the module stays a small share of the suite's time.
 """
 
+import json
 import math
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from funwill.cli import ResultRecord, render_json
 from funwill.collapse import (
     COMPLETENESS_TOL,
     build_povm,
@@ -120,3 +123,54 @@ def test_weak_law_outputs_are_never_nan(inputs, epsilon, n):
     assert chebyshev_bound(dist, payoff, epsilon, n) >= 0.0
     [(_, prob)] = lln_concentration(dist, payoff, epsilon, [min(n, 10**12)], reps=3, seed=n)
     assert 0.0 <= prob <= 1.0
+
+
+def oracle_json(record: ResultRecord) -> str:
+    """``json.dumps(indent=2)`` of the record with every top-level config
+    value and every row value that is a float rounded to 12 significant digits."""
+    def round12(value):
+        return float(f"{value:.12g}") if isinstance(value, float) else value
+
+    doc = {
+        "experiment_id": record.experiment_id,
+        "config": {k: round12(v) for k, v in record.config.items()},
+        "columns": record.columns,
+        "rows": [{c: round12(row[c]) for c in record.columns} for row in record.rows],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+# Values where 12-digit rounding and json's float repr part ways: non-finite
+# values, -0.0, the smallest subnormal, [1e12, 1e16) where .12g writes an
+# exponent and repr does not, and 1e16 and up where both do.
+cell_floats = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e12, 123456789012345.67, 1e16]),
+    st.floats(1e12, 1e16, exclude_max=True),
+    st.floats(min_value=1e16),
+    st.floats(max_value=-1e12),
+)
+cells = st.one_of(st.none(), cell_floats, st.integers(), st.booleans(), st.text())
+texts = st.one_of(st.text(), st.sampled_from(['"quoted"', "back\\slash", "new\nline", "café ☃ 𝄞"]))
+echoes = st.dictionaries(
+    texts,
+    st.one_of(
+        cells,
+        st.lists(st.one_of(cell_floats, texts)),
+        st.fixed_dictionaries({"start": cell_floats, "stop": cell_floats, "steps": st.integers(1, 200)}),
+    ),
+    max_size=5,
+)
+
+
+@st.composite
+def records(draw):
+    columns = draw(st.lists(texts, max_size=6, unique=True))
+    rows = draw(st.lists(st.fixed_dictionaries({c: cells for c in columns}), max_size=4))
+    return ResultRecord(draw(texts), draw(echoes), columns, rows)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(records())
+def test_json_emitter_equals_json_dumps_of_the_rounded_document(record):
+    assert render_json(record) == oracle_json(record)
