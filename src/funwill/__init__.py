@@ -35,7 +35,6 @@ from .distributions import (
     classify_regime,
     entropy_gradient,
     exercise_will,
-    is_pure,
     kl_divergence,
     make_distribution,
     total_variation,
@@ -75,7 +74,6 @@ __all__ = [
     "detection_power",
     "entropy_gradient",
     "exercise_will",
-    "is_pure",
     "kl_divergence",
     "lln_concentration",
     "make_distribution",

@@ -41,8 +41,8 @@ from . import agents
 from .collapse import _coefficients, _realized, _unreachable, prepare_state
 from .detect import (
     NoiseLevel,
+    _power_curve,
     chebyshev_bound,
-    detection_power,
     lln_concentration,
     pearson_test,
     pooling_plan,
@@ -68,6 +68,7 @@ from .seeding import derive_seed, validate_seed
 logger = logging.getLogger("funwill")
 
 SEED_ENV_VAR = "FUNWILL_SEED"
+MAX_SIGMA_STEPS = 10**6  # the longest sigma sweep: its grid and table are held in memory
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +122,8 @@ def _sigma(spec):
         return spec
     if set(spec) != {"start", "stop", "steps"}:
         raise ValueError(f"a sweep takes exactly start, stop and steps, got {sorted(spec)}")
-    _integer(spec["steps"])
+    if _integer(spec["steps"]) > MAX_SIGMA_STEPS:
+        raise ValueError(f"a sweep takes at most {MAX_SIGMA_STEPS} steps, got {spec['steps']}")
     if not 0.0 <= _number(spec["start"]) <= _number(spec["stop"]) <= 1.0:
         raise ValueError(f"need 0 <= start <= stop <= 1, got {spec}")
     return spec
@@ -372,19 +374,18 @@ def run_collapse(config: ExperimentConfig) -> ResultRecord:
 
 
 def run_power(config: ExperimentConfig) -> ResultRecord:
-    """Detection power per sigma grid point at the configured noise level."""
+    """Detection power per sigma grid point; row i is ``detection_power`` at ``derive_seed(seed, i)``."""
     nature, understanding, _, trials, reps, seed, _ = config.require(
         "nature", "understanding", "labels", "trials", "reps", "seed", "sigma"
     )
     if reps < 100:
         raise ConfigInvalid("reps", "power estimates need at least 100 replications")
-    cells = _analytics(nature, understanding, config.sigmas)
-    for i, row in enumerate(cells):
-        row["power"] = detection_power(
-            nature, understanding, row["sigma"],
-            n=trials, alpha=config.alpha, reps=reps,
-            seed=derive_seed(seed, i), noise=config.noise,
-        )
+    sigmas = config.sigmas
+    cells = _analytics(nature, understanding, sigmas)
+    seeds = [derive_seed(seed, i) for i in range(len(sigmas))]
+    powers = _power_curve(nature, understanding, sigmas, seeds, trials, config.alpha, reps, config.noise)
+    for row, power in zip(cells, powers):
+        row["power"] = power
     return _record("power", config, cells)
 
 

@@ -28,7 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import ProbabilityVector, WillStrength, exercise_will
+from .distributions import (
+    ProbabilityVector, WillStrength, _as_sigma, _blend_grid, _check_dims, _unit_interval,
+)
 from .errors import DimensionMismatch, InsufficientExpected
 from .seeding import derive_seed, validate_seed
 from .special import chi_squared_isf, chi_squared_sf
@@ -40,7 +42,7 @@ POOL_THRESHOLD = 5.0
 BLOCK = 1024
 
 # Batched statistics within this relative distance of the critical value are
-# re-decided row by row through chi_squared_test, so batched verdicts equal
+# re-decided row by row through pearson_test, so batched verdicts equal
 # per-row ``p_value < alpha`` despite summation-order rounding (see
 # critical_band for the one case where the band widens).
 CRITICAL_BAND = 1e-6
@@ -96,10 +98,11 @@ class NoiseLevel:
     lam: float
 
     def __post_init__(self):
-        lam = float(self.lam)
-        if not math.isfinite(lam) or not 0.0 <= lam <= 1.0:
-            raise ValueError(f"noise level must lie in [0, 1], got {self.lam!r}")
-        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "lam", _unit_interval(self.lam, "noise level"))
+
+
+def _as_lam(noise: NoiseLevel | float) -> float:
+    return noise.lam if isinstance(noise, NoiseLevel) else _unit_interval(float(noise), "noise level")
 
 
 def simulate_trials(dist: ProbabilityVector, n: int, seed: int) -> TrialCounts:
@@ -232,27 +235,20 @@ def critical_band(alpha: float, dof: int) -> tuple[float, float]:
 
 
 def deviation_verdicts(
-    counts: np.ndarray,
-    expected: ProbabilityVector,
-    alpha: float,
-    plan: PoolingPlan,
-    critical: float,
-    band: float,
+    counts: np.ndarray, plan: PoolingPlan, alpha: float, critical: float, band: float
 ) -> np.ndarray:
     """Per-row ``chi_squared_test(...).verdict == DEVIATION`` for a count array.
 
-    ``plan`` must be ``pooling_plan(expected, n)`` for the rows' common
-    total n, and ``critical, band`` must be ``critical_band(alpha, plan.dof)``.
-    Rows are decided against the critical value; rows whose statistic lies
-    within the relative band of it are re-decided by ``chi_squared_test``.
+    ``plan`` must be the null's ``pooling_plan`` for the rows' common total,
+    and ``critical, band`` must be ``critical_band(alpha, plan.dof)``.  Rows
+    are decided against the critical value; rows whose statistic lies
+    within the relative band of it are re-decided by ``pearson_test``.
     """
     statistic = pearson_statistics(counts, plan)
     deviates = statistic > critical * (1.0 + band)
     near = ~deviates & (statistic >= critical * (1.0 - band))
     for r in np.flatnonzero(near):
-        row = counts[r].tolist()
-        report = chi_squared_test(TrialCounts(tuple(row), sum(row), 0), expected, alpha)
-        deviates[r] = report.verdict == DEVIATION
+        deviates[r] = pearson_test(counts[r].tolist(), plan, alpha)[2] == DEVIATION
     return deviates
 
 
@@ -268,7 +264,7 @@ def _block_counts(n: int, weights, reps: int, seed: int, *path: int):
 
 def apply_noise(dist: ProbabilityVector, noise: NoiseLevel | float) -> ProbabilityVector:
     """Mix a uniform component into a distribution: (1-lam)*dist + lam*uniform."""
-    lam = noise.lam if isinstance(noise, NoiseLevel) else NoiseLevel(float(noise)).lam
+    lam = _as_lam(noise)
     u = 1.0 / dist.dimension
     return ProbabilityVector(tuple((1.0 - lam) * w + lam * u for w in dist.weights))
 
@@ -296,22 +292,35 @@ def detection_power(
     distribution and the null, modeling a detector that sees the blend
     only through a noisy channel.
     """
+    return _power_curve(nature, understanding, [will], [seed], n, alpha, reps, noise)[0]
+
+
+def _power_curve(nature, understanding, sigmas, seeds, n, alpha, reps, noise) -> list[float]:
+    """``detection_power`` at each (sigma, seed) pair, with one null, plan and
+    critical value.  The alternatives are computed elementwise in the order
+    of ``apply_noise(exercise_will(...))``, with its clamps, so they have its bits."""
     if reps < 100:
         raise ValueError(f"need at least 100 replications for a stable estimate, got {reps}")
     if n < 1:
         raise ValueError(f"trial count must be >= 1, got {n}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"significance level must lie in (0, 1), got {alpha}")
-    null = apply_noise(nature, noise)
-    alternative = apply_noise(exercise_will(nature, understanding, will), noise)
-    seed = validate_seed(seed)
+    lam = _as_lam(noise)
+    _check_dims(nature, understanding, "nature and understanding")
+    sigmas = [_as_sigma(will) for will in sigmas]
+    seeds = [validate_seed(seed) for seed in seeds]
+    null = apply_noise(nature, lam)
     plan = pooling_plan(null, n)
     critical, band = critical_band(alpha, plan.dof)
-    hits = 0
-    for counts in _block_counts(n, alternative.weights, reps, seed):
-        verdicts = deviation_verdicts(counts, null, alpha, plan, critical, band)
-        hits += int(np.count_nonzero(verdicts))
-    return hits / reps
+    blends = np.minimum(_blend_grid(nature, understanding, sigmas), 1.0)
+    alternatives = np.minimum((1.0 - lam) * blends + lam * (1.0 / nature.dimension), 1.0)
+    powers = []
+    for weights, seed in zip(alternatives, seeds):
+        hits = 0
+        for counts in _block_counts(n, weights, reps, seed):
+            hits += int(np.count_nonzero(deviation_verdicts(counts, plan, alpha, critical, band)))
+        powers.append(hits / reps)
+    return powers
 
 
 def _scaled_moments(dist: ProbabilityVector, payoff) -> tuple[float, list[float], float, float]:
@@ -329,12 +338,6 @@ def _scaled_moments(dist: ProbabilityVector, payoff) -> tuple[float, list[float]
     mean = math.fsum(w * v for w, v in zip(dist.weights, scaled))
     var = math.fsum(w * v * v for w, v in zip(dist.weights, scaled)) - mean * mean
     return s, scaled, mean, max(0.0, var)
-
-
-def payoff_mean_variance(dist: ProbabilityVector, payoff) -> tuple[float, float]:
-    """Mean and variance of a payoff random variable under ``dist``; ``inf`` if it overflows."""
-    s, _, mean, var = _scaled_moments(dist, payoff)
-    return mean * s, var * s * s
 
 
 def chebyshev_bound(dist: ProbabilityVector, payoff, epsilon: float, n: int) -> float:

@@ -106,16 +106,18 @@ class WillStrength:
     sigma: float
 
     def __post_init__(self):
-        s = float(self.sigma)
-        if not math.isfinite(s) or not 0.0 <= s <= 1.0:
-            raise ValueError(f"will strength must lie in [0, 1], got {self.sigma!r}")
-        object.__setattr__(self, "sigma", s)
+        object.__setattr__(self, "sigma", _unit_interval(self.sigma, "will strength"))
+
+
+def _unit_interval(value, what: str) -> float:
+    """``value`` as a float in [0, 1]; anything else is a ValueError naming ``what``."""
+    if not 0.0 <= float(value) <= 1.0:  # False for NaN as well
+        raise ValueError(f"{what} must lie in [0, 1], got {value!r}")
+    return float(value)
 
 
 def _as_sigma(will: WillStrength | float) -> float:
-    if isinstance(will, WillStrength):
-        return will.sigma
-    return WillStrength(float(will)).sigma
+    return will.sigma if isinstance(will, WillStrength) else _unit_interval(float(will), "will strength")
 
 
 def _check_dims(a: ProbabilityVector, b: ProbabilityVector, what: str = "vectors"):
@@ -287,8 +289,3 @@ def kl_divergence(a: ProbabilityVector, b: ProbabilityVector) -> float:
             return math.inf
         total += x * math.log2(x / y)
     return total
-
-
-def is_pure(dist: ProbabilityVector) -> bool:
-    """True when the vector is deterministic (every weight 0 or 1)."""
-    return all(w == 0.0 or w == 1.0 for w in dist.weights)

@@ -22,7 +22,8 @@ from funwill.cli import (
     run_power,
 )
 from funwill.collapse import build_povm, check_completeness, outcome_distribution, prepare_state
-from funwill.detect import chi_squared_test, simulate_trials
+from funwill import detect
+from funwill.detect import chi_squared_test, detection_power, simulate_trials
 from funwill.distributions import (
     classify_regime,
     entropy_gradient,
@@ -38,6 +39,7 @@ from funwill.errors import (
     UnreachableGuidance,
 )
 from funwill.seeding import derive_seed
+from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 SAINT_CFG = {
     "labels": ["good", "evil"],
@@ -92,6 +94,20 @@ class TestConfigValidation:
                     "half"):
             with pytest.raises(ConfigInvalid):
                 build_config({**SAINT_CFG, "sigma": bad})
+
+    @pytest.mark.parametrize("steps", [10**6 + 1, 10**9])
+    def test_sigma_steps_capped_before_the_grid(self, tmp_path, caplog, steps):
+        sweep = {"start": 0.0, "stop": 1.0, "steps": steps}
+        with pytest.raises(ConfigInvalid) as exc:
+            build_config({**SAINT_CFG, "sigma": sweep})
+        assert exc.value.field == "sigma"
+        cfg_path = write_cfg(tmp_path, {**SAINT_CFG, "sigma": sweep, "out": str(tmp_path / "s.csv")})
+        assert main(["distort", "--config", cfg_path, "--quiet"]) == 2
+        assert "config error: sigma:" in caplog.text
+
+    def test_sigma_steps_cap_itself_accepted(self):
+        # The grid is built only when ``sigmas`` is read, so this allocates nothing.
+        build_config({**SAINT_CFG, "sigma": {"start": 0.0, "stop": 1.0, "steps": 10**6}})
 
     def test_scalar_sigma(self):
         cfg = build_config({**SAINT_CFG, "sigma": 0.5})
@@ -390,6 +406,13 @@ class TestSweepEquivalence:
         assert json.loads(out.read_text())["rows"][0]["residual"] <= 1e-9
 
 
+# Full noise: the null and every alternative are uniform, so power stays near alpha.
+FULL_NOISE_CFG = {
+    "labels": list("abcd"), "nature": [0.4, 0.3, 0.2, 0.1], "understanding": [0.1, 0.2, 0.3, 0.4],
+    "sigma": {"start": 0.0, "stop": 1.0, "steps": 5}, "trials": 200, "noise": 1.0, "reps": 300, "seed": 7,
+}
+
+
 class TestRunPower:
     def test_null_row_calibrates_to_alpha(self):
         # The exact size of this two-outcome test at n=1000 is 0.0537, so
@@ -416,6 +439,25 @@ class TestRunPower:
         with pytest.raises(ConfigInvalid) as exc:
             run_power(cfg)
         assert exc.value.field == "reps"
+
+    @pytest.mark.parametrize("doc", [GOLDEN_CONFIGS["power"], GOLDEN_CONFIGS["power_edges"], FULL_NOISE_CFG],
+                             ids=["power", "power_edges", "full_noise"])
+    def test_rows_equal_detection_power(self, doc):
+        config = build_config(doc)
+        for i, row in enumerate(run_power(config).rows):
+            assert row["power"] == detection_power(
+                config.nature, config.understanding, row["sigma"], n=config.trials,
+                alpha=config.alpha, reps=config.reps, seed=derive_seed(config.seed, i), noise=config.noise,
+            )
+
+    @pytest.mark.parametrize("steps", [1, 11])
+    def test_one_plan_and_one_critical_value_per_run(self, monkeypatch, steps):
+        plans, bands = [], []
+        pooling_plan, critical_band = detect.pooling_plan, detect.critical_band
+        monkeypatch.setattr(detect, "pooling_plan", lambda *a: plans.append(a) or pooling_plan(*a))
+        monkeypatch.setattr(detect, "critical_band", lambda *a: bands.append(a) or critical_band(*a))
+        run_power(build_config({**SAINT_CFG, "sigma": {"start": 0.0, "stop": 0.1, "steps": steps}}))
+        assert len(plans) == 1 and len(bands) == 1
 
 
 class TestRunLln:

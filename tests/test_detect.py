@@ -20,8 +20,8 @@ from funwill.detect import (
     critical_band,
     detection_power,
     deviation_verdicts,
+    _scaled_moments,
     lln_concentration,
-    payoff_mean_variance,
     pearson_statistics,
     pooling_plan,
     simulate_trials,
@@ -32,6 +32,12 @@ from funwill.seeding import derive_seed
 
 FAIR = make_distribution([0.5, 0.5])
 ETHICAL = make_distribution([1.0, 0.0])
+
+
+def payoff_moments(dist, payoff):
+    """Unscaled mean and variance from ``_scaled_moments``; ``inf`` where they overflow."""
+    s, _, mean, var = _scaled_moments(dist, payoff)
+    return mean * s, var * s * s
 
 
 class TestSimulateTrials:
@@ -219,7 +225,7 @@ class TestLlnConcentration:
         assert chebyshev_bound(FAIR, [1.0, 1.0], 1e-200, 100) == 0.0
 
     def test_overflowing_variance_is_inf(self):
-        assert payoff_mean_variance(FAIR, [1e300, 0.0]) == (5e299, math.inf)
+        assert payoff_moments(FAIR, [1e300, 0.0]) == (5e299, math.inf)
         assert chebyshev_bound(FAIR, [1e300, 0.0], 0.1, 100) == math.inf
 
     def test_huge_payoff_sample_mean_does_not_overflow(self):
@@ -229,8 +235,8 @@ class TestLlnConcentration:
 
     def test_variance_survives_an_overflowing_second_moment(self):
         # E[v^2] overflows on both payoffs, but the variance is finite.
-        assert payoff_mean_variance(FAIR, [1e200, 1e200]) == (1e200, 0.0)
-        _, var = payoff_mean_variance(FAIR, [1.3e154, 1.4e154])
+        assert payoff_moments(FAIR, [1e200, 1e200]) == (1e200, 0.0)
+        _, var = payoff_moments(FAIR, [1.3e154, 1.4e154])
         assert var == pytest.approx(0.25 * 0.1e154**2, rel=1e-9)
 
     def test_inputs_validated(self):
@@ -275,7 +281,7 @@ class TestBatchedVerdicts:
         counts = np.random.default_rng(case).multinomial(n, sampling.weights, size=rows)
         plan = pooling_plan(null, n)
         assert plan.pooled
-        batched = deviation_verdicts(counts, null, alpha, plan, *critical_band(alpha, plan.dof))
+        batched = deviation_verdicts(counts, plan, alpha, *critical_band(alpha, plan.dof))
         exact = per_row_verdicts(counts, null, alpha)
         assert np.array_equal(batched, exact)
         assert 0.01 < exact.mean() < 0.99  # verdicts fall on both sides
@@ -299,7 +305,7 @@ class TestBatchedVerdicts:
                 critical, band = critical_band(alpha, plan.dof)
                 assert band == CRITICAL_BAND
                 assert abs(statistic[r] - critical) <= band * critical
-                batched = deviation_verdicts(counts, null, alpha, plan, critical, band)
+                batched = deviation_verdicts(counts, plan, alpha, critical, band)
                 assert np.array_equal(batched, per_row_verdicts(counts, null, alpha))
                 assert batched[r] == (alpha > p_value)
         assert forced >= 8
@@ -309,7 +315,7 @@ class TestBatchedVerdicts:
         counts = np.array([[50, 49, 1], [50, 50, 0]])
         plan = pooling_plan(null, 100)
         assert plan.impossible == (2,)
-        got = deviation_verdicts(counts, null, 0.05, plan, *critical_band(0.05, plan.dof))
+        got = deviation_verdicts(counts, plan, 0.05, *critical_band(0.05, plan.dof))
         assert got.tolist() == [True, False]
 
     def test_alpha_next_to_one_falls_back_to_exact_tests(self):
@@ -326,7 +332,7 @@ class TestBatchedVerdicts:
         for alpha in (p_value, math.nextafter(p_value, 1.0)):
             _, band = critical_band(alpha, plan.dof)
             assert band == math.inf
-            batched = deviation_verdicts(counts, null, alpha, plan, *critical_band(alpha, plan.dof))
+            batched = deviation_verdicts(counts, plan, alpha, *critical_band(alpha, plan.dof))
             assert np.array_equal(batched, per_row_verdicts(counts, null, alpha))
             assert batched.tolist() == [alpha > p_value, True, alpha > p_value, True]
 
@@ -392,6 +398,19 @@ class TestValidationBeforeSampling:
         monkeypatch.setattr(detect, "derive_seed", _no_sampling)
         with pytest.raises(error):
             detection_power(**{**self.POWER, **bad})
+
+    @pytest.mark.parametrize("bad, error", [
+        (dict(seeds=[1, 2, -1]), ValueError),
+        (dict(seeds=[1, 2, 2**64]), ValueError),
+        (dict(sigmas=[0.0, 0.1, 1.5]), ValueError),
+        (dict(understanding=uniform_distribution(3)), DimensionMismatch),
+    ])
+    def test_power_curve_checks_every_point_before_the_first_draw(self, monkeypatch, bad, error):
+        monkeypatch.setattr(detect, "_block_counts", _no_sampling)
+        curve = dict(nature=FAIR, understanding=ETHICAL, sigmas=[0.0, 0.1, 0.2], seeds=[1, 2, 3],
+                     n=1000, alpha=0.05, reps=200, noise=0.0)
+        with pytest.raises(error):
+            detect._power_curve(**{**curve, **bad})
 
     LLN = dict(dist=FAIR, payoff=[1.0, 0.0], epsilon=0.1, n_schedule=[100, 1000], reps=100, seed=1)
 

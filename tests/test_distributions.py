@@ -16,7 +16,6 @@ from funwill.distributions import (
     classify_regime,
     entropy_gradient,
     exercise_will,
-    is_pure,
     kl_divergence,
     make_distribution,
     total_variation,
@@ -266,8 +265,3 @@ class TestDistances:
             total_variation(make_distribution([1.0]), make_distribution([0.5, 0.5]))
         with pytest.raises(DimensionMismatch):
             kl_divergence(make_distribution([1.0]), make_distribution([0.5, 0.5]))
-
-
-def test_is_pure_predicate():
-    assert is_pure(make_distribution([1.0, 0.0, 0.0]))
-    assert not is_pure(make_distribution([0.5, 0.5]))

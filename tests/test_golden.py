@@ -40,6 +40,20 @@ CONFIGS = {
         "reps": 1500,
         "seed": 2012,
     },
+    # Outcome d is impossible under the null and hit at every sigma > 0;
+    # alpha above 1/2 takes critical_band's checked-edge branch; three
+    # blocks per estimate, the last one partial.
+    "power_edges": {
+        "labels": ["a", "b", "c", "d"],
+        "nature": [0.5, 0.3, 0.2, 0.0],
+        "understanding": [0.2, 0.3, 0.3, 0.2],
+        "sigma": {"start": 0.0, "stop": 0.02, "steps": 5},
+        "trials": 400,
+        "alpha": 0.9,
+        "noise": 0,
+        "reps": 2100,
+        "seed": 1616,
+    },
     "lln": {
         "nature": [0.3, 0.7],
         "payoff": [1.0, 0.0],
@@ -105,7 +119,7 @@ CONFIGS["distort_sweep16"] = CONFIGS["collapse_sweep16"] = SWEEP16
 OUTPUTS = (
     "collapse.csv", "collapse.json", "distort.csv", "distort.json", "distort_ints.json",
     "lln.csv", "lln.json", "lln_ints.json", "power.csv", "power.json",
-    "distort_sweep16.json", "collapse_sweep16.json",
+    "distort_sweep16.json", "collapse_sweep16.json", "power_edges.csv",
 )
 
 DRAW_SEED = 1789

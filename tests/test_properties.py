@@ -26,10 +26,10 @@ from funwill.detect import (
     TrialCounts,
     chebyshev_bound,
     chi_squared_test,
+    _scaled_moments,
     critical_band,
     deviation_verdicts,
     lln_concentration,
-    payoff_mean_variance,
     pooling_plan,
 )
 from funwill.distributions import exercise_will, make_distribution
@@ -100,7 +100,7 @@ def test_batched_verdicts_equal_per_row_tests(dists, n, alpha, seed):
         assume(False)
     counts = np.random.default_rng(seed).multinomial(n, alternative.weights, size=40)
     critical, band = critical_band(alpha, plan.dof)
-    batched = deviation_verdicts(counts, null, alpha, plan, critical, band)
+    batched = deviation_verdicts(counts, plan, alpha, critical, band)
     per_row = [
         chi_squared_test(TrialCounts(tuple(row), n, 0), null, alpha).verdict == DEVIATION
         for row in counts.tolist()
@@ -118,8 +118,8 @@ def test_batched_verdicts_equal_per_row_tests(dists, n, alpha, seed):
 )
 def test_weak_law_outputs_are_never_nan(inputs, epsilon, n):
     dist, payoff = inputs
-    mean, var = payoff_mean_variance(dist, payoff)
-    assert not math.isnan(mean) and var >= 0.0
+    s, _, mean, var = _scaled_moments(dist, payoff)
+    assert not math.isnan(mean * s) and var * s * s >= 0.0
     assert chebyshev_bound(dist, payoff, epsilon, n) >= 0.0
     [(_, prob)] = lln_concentration(dist, payoff, epsilon, [min(n, 10**12)], reps=3, seed=n)
     assert 0.0 <= prob <= 1.0
