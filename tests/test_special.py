@@ -17,7 +17,6 @@ import pytest
 from funwill.special import (
     chi_squared_isf,
     chi_squared_sf,
-    regularized_gamma_p,
     regularized_gamma_q,
 )
 
@@ -71,10 +70,9 @@ def test_edges_and_complements():
     assert chi_squared_sf(math.inf, 3) == 0.0
     for a in (0.5, 1.0, 2.5, 7.0):
         for x in (0.05, 1.0, 3.0, 10.0, 80.0):
-            p = regularized_gamma_p(a, x)
             q = regularized_gamma_q(a, x)
-            assert 0.0 <= p <= 1.0 and 0.0 <= q <= 1.0
-            assert p + q == pytest.approx(1.0, abs=1e-12)
+            assert 0.0 <= q <= 1.0
+            assert q == pytest.approx(oracle_gamma_q(a, x), rel=1e-12, abs=0.0)
 
 
 def test_huge_statistics_have_a_zero_tail():
@@ -83,7 +81,6 @@ def test_huge_statistics_have_a_zero_tail():
     for x in (4.0833333333333335e263, 1.1298418899047351e18, 1e300, 1.7e308):
         for dof in (1, 2, 5):
             assert chi_squared_sf(x, dof) == 0.0
-            assert regularized_gamma_p(dof / 2.0, x / 2.0) == 1.0
 
 
 def test_monotone_in_statistic():
@@ -99,7 +96,7 @@ def test_invalid_arguments():
     with pytest.raises(ValueError):
         regularized_gamma_q(0.0, 1.0)
     with pytest.raises(ValueError):
-        regularized_gamma_p(1.0, -0.5)
+        regularized_gamma_q(1.0, -0.5)
 
 
 # Cross-checks against scipy, an independent implementation.  scipy is a
