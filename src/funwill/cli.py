@@ -40,7 +40,6 @@ import numpy as np
 from . import agents
 from .collapse import _coefficients, _realized, _unreachable, prepare_state
 from .detect import (
-    NoiseLevel,
     _power_curve,
     chebyshev_bound,
     lln_concentration,
@@ -54,6 +53,7 @@ from .distributions import (
     _entropy,
     _gradient,
     _regime,
+    _unit_interval,
     make_distribution,
 )
 from .errors import (
@@ -182,7 +182,7 @@ class ExperimentConfig:
     sigma: float | dict | None = _key(_sigma)
     trials: int | None = _key(_trials)
     alpha: float = _key(_alpha, default=0.05)
-    noise: NoiseLevel = _key(lambda v: NoiseLevel(_number(v)), default=NoiseLevel(0.0))
+    noise: float = _key(lambda v: _unit_interval(_number(v), "noise level"), default=0.0)
     reps: int | None = _key(_integer)
     seed: int | None = _key(lambda v: validate_seed(_integer(v, least=0)))
     out: str | None = _key(_path, echo="none")
@@ -229,8 +229,6 @@ def _plain(value):
     """A stored value as the input echo shows it."""
     if isinstance(value, ProbabilityVector):
         return list(value.weights)
-    if isinstance(value, NoiseLevel):
-        return value.lam
     if isinstance(value, tuple):
         return list(value)
     return value

@@ -15,14 +15,16 @@ measurement noise, which degrades distinguishability symmetrically).
 that motivates the whole exercise.
 
 Seeding: ``detection_power`` and ``lln_concentration`` draw their
-replications in blocks of at most ``BLOCK`` rows.  Block b of a power
-estimate samples from ``derive_seed(seed, b)``, block b of schedule entry i
-of a weak-law estimate from ``derive_seed(seed, i, b)``, so blocks are
-order-independent and parallel-safe, and any block replays alone.
+replications through one loop, ``_hit_rate``, in blocks of at most
+``BLOCK`` rows.  Block b of a power estimate samples from
+``derive_seed(seed, b)``, block b of schedule entry i of a weak-law
+estimate from ``derive_seed(seed, i, b)``, so blocks are order-independent
+and parallel-safe, and any block replays alone.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -202,15 +204,18 @@ def pearson_test(counts, plan: PoolingPlan, alpha: float) -> tuple[float, float,
 def pearson_statistics(counts: np.ndarray, plan: PoolingPlan) -> np.ndarray:
     """Pearson statistic of every row of a (rows, cells) count array.
 
-    Rows with a hit on an impossible cell get +inf.  Sums run in numpy's
-    order, so values can differ from ``chi_squared_test`` in the last bits.
+    Rows with a hit on an impossible cell get +inf, and so do rows whose
+    quotient on a cell of tiny expected count overflows, as in
+    ``pearson_test``.  Sums run in numpy's order, so values can differ from
+    ``chi_squared_test`` in the last bits.
     """
     observed = counts[:, plan.kept]
     if plan.pooled:
         pooled = counts[:, plan.pooled].sum(axis=1, keepdims=True)
         observed = np.concatenate([observed, pooled], axis=1)
     expected = np.asarray(plan.expected)
-    statistic = ((observed - expected) ** 2 / expected).sum(axis=1)
+    with np.errstate(over="ignore"):
+        statistic = ((observed - expected) ** 2 / expected).sum(axis=1)
     if plan.impossible:
         statistic[counts[:, plan.impossible].any(axis=1)] = math.inf
     return statistic
@@ -252,14 +257,19 @@ def deviation_verdicts(
     return deviates
 
 
-def _block_counts(n: int, weights, reps: int, seed: int, *path: int):
-    """Multinomial counts of ``reps`` replications of n trials, in blocks of at most BLOCK.
+def _hit_rate(decide, n: int, weights, reps: int, seed: int, *path: int) -> float:
+    """Fraction of ``reps`` multinomial replications of n trials that ``decide`` flags.
 
-    Block b draws from ``default_rng(derive_seed(seed, *path, b))``.
+    ``decide`` maps a (rows, cells) count block to a boolean array.  Blocks
+    hold at most BLOCK rows, and block b draws from
+    ``default_rng(derive_seed(seed, *path, b))``.
     """
+    hits = 0
     for b, start in enumerate(range(0, reps, BLOCK)):
         rows = min(BLOCK, reps - start)
-        yield np.random.default_rng(derive_seed(seed, *path, b)).multinomial(n, weights, size=rows)
+        counts = np.random.default_rng(derive_seed(seed, *path, b)).multinomial(n, weights, size=rows)
+        hits += int(np.count_nonzero(decide(counts)))
+    return hits / reps
 
 
 def apply_noise(dist: ProbabilityVector, noise: NoiseLevel | float) -> ProbabilityVector:
@@ -314,13 +324,8 @@ def _power_curve(nature, understanding, sigmas, seeds, n, alpha, reps, noise) ->
     critical, band = critical_band(alpha, plan.dof)
     blends = np.minimum(_blend_grid(nature, understanding, sigmas), 1.0)
     alternatives = np.minimum((1.0 - lam) * blends + lam * (1.0 / nature.dimension), 1.0)
-    powers = []
-    for weights, seed in zip(alternatives, seeds):
-        hits = 0
-        for counts in _block_counts(n, weights, reps, seed):
-            hits += int(np.count_nonzero(deviation_verdicts(counts, plan, alpha, critical, band)))
-        powers.append(hits / reps)
-    return powers
+    decide = functools.partial(deviation_verdicts, plan=plan, alpha=alpha, critical=critical, band=band)
+    return [_hit_rate(decide, n, weights, reps, seed) for weights, seed in zip(alternatives, seeds)]
 
 
 def _scaled_moments(dist: ProbabilityVector, payoff) -> tuple[float, list[float], float, float]:
@@ -375,11 +380,8 @@ def lln_concentration(
     for n in schedule:
         if n < 1:
             raise ValueError(f"trial count must be >= 1, got {n}")
-    out = []
-    for i, n in enumerate(schedule):
-        hits = 0
-        for counts in _block_counts(n, dist.weights, reps, seed, i):
-            sample_mean = counts @ scaled / n
-            hits += int(np.count_nonzero(np.abs(sample_mean - mean) > epsilon / s))
-        out.append((n, hits / reps))
-    return out
+    return [
+        (n, _hit_rate(lambda counts: np.abs(counts @ scaled / n - mean) > epsilon / s,
+                      n, dist.weights, reps, seed, i))
+        for i, n in enumerate(schedule)
+    ]

@@ -165,19 +165,15 @@ def exercise_will(
     equals ``understanding`` exactly (the float arithmetic preserves this).
     """
     _check_dims(nature, understanding, "nature and understanding")
-    s = _as_sigma(will)
-    t = 1.0 - s
-    return ProbabilityVector(
-        tuple(s * u + t * p for p, u in zip(nature.weights, understanding.weights))
-    )
+    return ProbabilityVector(tuple(_blend_grid(nature, understanding, [_as_sigma(will)])[0].tolist()))
 
 
 def _blend_grid(nature: ProbabilityVector, understanding: ProbabilityVector, sigmas) -> np.ndarray:
     """The unclamped blend s*u + (1-s)*p at each sigma, as a (len(sigmas), d) array.
 
-    The arithmetic is elementwise and in exercise_will's order, so each row
-    has the bits of its blend before ProbabilityVector clamps a weight just
-    above 1.  The sigmas must already lie in [0, 1].
+    This is the one place the blend is computed: each row has the bits of
+    ``exercise_will`` before ProbabilityVector clamps a weight just above 1.
+    The sigmas must already lie in [0, 1].
     """
     s = np.asarray(sigmas, dtype=float)[:, None]
     return s * np.asarray(understanding.weights) + (1.0 - s) * np.asarray(nature.weights)

@@ -608,6 +608,15 @@ class TestMain:
         row = out.read_text().splitlines()[1].split(",")
         assert (row[8], row[9]) == ("0", "deviation")
 
+    def test_overflowing_pooled_cell_power_exit_0(self, tmp_path):
+        # Every replication hits the pooled ~2e-307 cell, so each statistic
+        # overflows to +inf: the right value, reached without a RuntimeWarning.
+        out = tmp_path / "p.json"
+        doc = {"labels": list("abc"), "nature": [0.5, 2.2250738585e-310, 0.5], "understanding": [0, 1, 0],
+               "sigma": 0.5, "trials": 1000, "reps": 100, "seed": 1, "out": str(out), "format": "json"}
+        assert main(["power", "--config", write_cfg(tmp_path, doc), "--quiet"]) == 0
+        assert json.loads(out.read_text())["rows"][0]["power"] == 1
+
     def test_io_error_exit_code(self, tmp_path):
         cfg_path = write_cfg(tmp_path, SAINT_CFG)
         out = str(tmp_path / "no" / "dir.csv")

@@ -406,7 +406,7 @@ class TestValidationBeforeSampling:
         (dict(understanding=uniform_distribution(3)), DimensionMismatch),
     ])
     def test_power_curve_checks_every_point_before_the_first_draw(self, monkeypatch, bad, error):
-        monkeypatch.setattr(detect, "_block_counts", _no_sampling)
+        monkeypatch.setattr(detect, "_hit_rate", _no_sampling)
         curve = dict(nature=FAIR, understanding=ETHICAL, sigmas=[0.0, 0.1, 0.2], seeds=[1, 2, 3],
                      n=1000, alpha=0.05, reps=200, noise=0.0)
         with pytest.raises(error):

@@ -61,6 +61,10 @@ class TestConstruction:
             make_distribution([-0.1, 1.1])
         with pytest.raises(NegativeWeight):
             make_distribution([float("nan"), 1.0])
+        # Normalizing would divide the signs away: [-1, -1] / -2 is (0.5, 0.5).
+        for weights in ([-1.0, -1.0], [-0.25, -0.75]):
+            with pytest.raises(NegativeWeight):
+                make_distribution(weights, normalize=True)
 
     def test_all_zero_rejected(self):
         with pytest.raises(AllZero):

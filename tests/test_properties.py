@@ -10,7 +10,7 @@ import json
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from funwill.cli import ResultRecord, render_json
@@ -32,7 +32,7 @@ from funwill.detect import (
     lln_concentration,
     pooling_plan,
 )
-from funwill.distributions import exercise_will, make_distribution
+from funwill.distributions import ProbabilityVector, exercise_will, make_distribution
 from funwill.errors import InsufficientExpected
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -67,6 +67,16 @@ def test_blend_hits_its_endpoints(inputs):
 
 @PROPERTY
 @given(blend_inputs())
+def test_blend_equals_the_reference_loop(inputs):
+    nature, understanding, sigma = inputs
+    want = tuple(
+        min(sigma * u + (1.0 - sigma) * p, 1.0) for p, u in zip(nature.weights, understanding.weights)
+    )
+    assert exercise_will(nature, understanding, sigma).weights == want
+
+
+@PROPERTY
+@given(blend_inputs())
 def test_collapse_realizes_the_blend(inputs):
     nature, understanding, sigma = inputs
     got = outcome_distribution(build_povm(nature, understanding, sigma), prepare_state(nature))
@@ -91,6 +101,11 @@ def test_povm_complete_against_its_state_and_any_state_at_zero_will(inputs, data
     st.integers(1, 400),
     st.floats(1e-4, 1.0 - 1e-4),
     st.integers(0, 2**32),
+)
+# A hit on the pooled cell of this null overflows the batched statistic to +inf.
+@example(
+    dists=(ProbabilityVector((0.0, 2.2250738585e-313, 0.0, 1.0)), ProbabilityVector((0.0, 1.0, 0.0, 0.0))),
+    n=5, alpha=0.5, seed=0,
 )
 def test_batched_verdicts_equal_per_row_tests(dists, n, alpha, seed):
     null, alternative = dists
