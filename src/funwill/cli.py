@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import agents
-from .collapse import _coefficients, _realized, _unreachable, prepare_state
+from .collapse import _realized_rows
 from .detect import (
     _power_curve,
     chebyshev_bound,
@@ -126,6 +126,8 @@ def _sigma(spec):
         raise ValueError(f"a sweep takes at most {MAX_SIGMA_STEPS} steps, got {spec['steps']}")
     if not 0.0 <= _number(spec["start"]) <= _number(spec["stop"]) <= 1.0:
         raise ValueError(f"need 0 <= start <= stop <= 1, got {spec}")
+    if spec["steps"] == 1 and spec["start"] != spec["stop"]:
+        raise ValueError(f"a one-step sweep needs start == stop, got {spec}")
     return spec
 
 
@@ -200,8 +202,6 @@ class ExperimentConfig:
         if not isinstance(spec, dict):
             return (float(spec),)
         start, stop, steps = float(spec["start"]), float(spec["stop"]), spec["steps"]
-        if steps == 1:
-            return (start,)
         width = stop - start
         # The last point is pinned: start + width can round past stop.
         return tuple(start + i * width / (steps - 1) for i in range(steps - 1)) + (stop,)
@@ -260,9 +260,10 @@ def build_config(raw: dict) -> ExperimentConfig:
     if unknown:
         raise ConfigInvalid(sorted(unknown)[0], "unknown config field")
     values = {key: _parse(key, raw[key]) for key in _SCHEMA if key in raw}
-    dims = {key: len(value) for key, value in values.items() if _SCHEMA[key].metadata["per_outcome"]}
-    if len(set(dims.values())) > 1:
-        raise ConfigInvalid("labels", f"inconsistent dimensions across fields: {dims}")
+    dims = [(key, len(value)) for key, value in values.items() if _SCHEMA[key].metadata["per_outcome"]]
+    for key, n in dims[1:]:
+        if n != dims[0][1]:
+            raise ConfigInvalid(key, f"has {n} entries, but {dims[0][0]} has {dims[0][1]}")
     return ExperimentConfig(**values)
 
 
@@ -322,7 +323,7 @@ def _analytics(nature, understanding, sigmas) -> list[dict]:
     """Per sigma, the blend's cells, its gradient (+/-inf where it diverges) and the regime."""
     p, u = nature.weights, understanding.weights
     cells = []
-    for sigma, blend in zip(sigmas, _blend_weights(nature, understanding, sigmas)):
+    for sigma, blend in zip(sigmas, _blend_weights(nature, understanding, sigmas).tolist()):
         grad = _gradient(p, u, blend)
         cells.append(
             {"sigma": sigma, **_distribution_cells(blend), "dh_dsigma": grad, "regime": _regime(grad)}
@@ -339,27 +340,22 @@ def run_distort(config: ExperimentConfig) -> ResultRecord:
 def run_collapse(config: ExperimentConfig) -> ResultRecord:
     """Sample directed collapses per sigma and test them against the baseline.
 
-    Each row records the completeness residual of the measurement set, the
-    empirical outcome frequencies of ``trials`` collapses (in the p_prime
-    columns), their entropy, and the chi-squared report against the
-    baseline distribution (the Born null).  Row i draws from
-    ``default_rng(derive_seed(seed, i))``, so any row replays alone through
-    ``build_povm``, ``outcome_distribution``, ``simulate_trials`` and
-    ``chi_squared_test``.
+    Each row takes its outcome weights and completeness residual from
+    ``collapse._realized_rows`` and records the residual, the empirical
+    frequencies of ``trials`` collapses (in the p_prime columns), their
+    entropy, and the chi-squared report against the baseline (the Born
+    null).  Row i draws from ``default_rng(derive_seed(seed, i))``, so any
+    row replays alone through ``build_povm``, ``outcome_distribution``,
+    ``simulate_trials`` and ``chi_squared_test``.
     """
     nature, understanding, _, trials, seed, _ = config.require(
         "nature", "understanding", "labels", "trials", "seed", "sigma"
     )
     sigmas = config.sigmas
-    amplitudes = prepare_state(nature).amplitudes
-    unreachable = _unreachable(nature, understanding)
-    grid = _coefficients(nature, understanding, sigmas).tolist()
     plan = None
     cells = []
-    for i, (sigma, coefficients) in enumerate(zip(sigmas, grid)):
-        if sigma > 0.0 and unreachable is not None:
-            raise unreachable
-        weights, residual = _realized(coefficients, amplitudes)
+    realized = _realized_rows(nature, understanding, sigmas)
+    for i, (sigma, (weights, residual)) in enumerate(zip(sigmas, realized)):
         counts = np.random.default_rng(derive_seed(seed, i)).multinomial(trials, weights).tolist()
         if plan is None:  # after the first row's model errors, which take precedence
             plan = pooling_plan(nature, trials)

@@ -138,18 +138,11 @@ def build_povm(
     amplitude can make the completeness sum reach 1.
     """
     _check_dims(nature, understanding, "nature and understanding")
-    sigma = _as_sigma(will)
-    unreachable = _unreachable(nature, understanding)
-    if sigma > 0.0 and unreachable is not None:
-        raise unreachable
-    return PovmSet(tuple(_coefficients(nature, understanding, (sigma,))[0].tolist()))
+    return PovmSet(tuple(next(_povm_rows(nature, understanding, [_as_sigma(will)]))))
 
 
 def _unreachable(nature: ProbabilityVector, understanding: ProbabilityVector) -> UnreachableGuidance | None:
-    """The error for the first outcome guidance wants but the baseline rules out, if any.
-
-    Raise it for every sigma > 0.
-    """
+    """The error for the first outcome guidance wants but the baseline rules out, if any."""
     for j, (p, u) in enumerate(zip(nature.weights, understanding.weights)):
         if p == 0.0 and u > 0.0:
             return UnreachableGuidance(
@@ -159,20 +152,29 @@ def _unreachable(nature: ProbabilityVector, understanding: ProbabilityVector) ->
     return None
 
 
-def _coefficients(nature: ProbabilityVector, understanding: ProbabilityVector, sigmas) -> np.ndarray:
-    """The coefficients of ``build_povm`` at each sigma, as a (len(sigmas), d) array.
+def _povm_rows(nature: ProbabilityVector, understanding: ProbabilityVector, sigmas):
+    """The coefficients of ``build_povm`` at each sigma, one lazy row of plain floats each.
 
-    c_j = sqrt(q_j / p_j) for the unclamped blend q, and 0 where p_j = 0
-    (the caller has ruled out guidance there).  Division and square root
-    are correctly rounded, so each entry has the bits of the scalar formula.
-    Where q_j / p_j overflows (a subnormal p_j), c_j = sqrt(q_j) / sqrt(p_j),
-    which is finite.
+    The grid is computed once, with the bits of the scalar formula.  Before
+    the first row with sigma > 0, raises the first unreachable outcome's error.
     """
     p = np.asarray(nature.weights)
     q = _blend_grid(nature, understanding, sigmas)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         c = np.where(p > 0.0, np.sqrt(q / p), 0.0)
-        return np.where(np.isinf(c), np.sqrt(q) / np.sqrt(p), c)
+        grid = np.where(np.isinf(c), np.sqrt(q) / np.sqrt(p), c)
+    unreachable = _unreachable(nature, understanding)
+    for sigma, row in zip(sigmas, grid.tolist()):
+        if sigma > 0.0 and unreachable is not None:
+            raise unreachable
+        yield row
+
+
+def _realized_rows(nature: ProbabilityVector, understanding: ProbabilityVector, sigmas):
+    """``_realized`` of each ``_povm_rows`` row against ``prepare_state(nature)``:
+    lazy, so each row's model errors surface in row order."""
+    amplitudes = prepare_state(nature).amplitudes
+    return (_realized(row, amplitudes) for row in _povm_rows(nature, understanding, sigmas))
 
 
 def check_completeness(povm: PovmSet, state: AmplitudeState) -> float:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (
-    ProbabilityVector, WillStrength, _as_sigma, _blend_grid, _check_dims, _unit_interval,
+    ProbabilityVector, WillStrength, _as_sigma, _blend_weights, _check_dims, _unit_interval,
 )
 from .errors import DimensionMismatch, InsufficientExpected
 from .seeding import derive_seed, validate_seed
@@ -274,9 +274,12 @@ def _hit_rate(decide, n: int, weights, reps: int, seed: int, *path: int) -> floa
 
 def apply_noise(dist: ProbabilityVector, noise: NoiseLevel | float) -> ProbabilityVector:
     """Mix a uniform component into a distribution: (1-lam)*dist + lam*uniform."""
-    lam = _as_lam(noise)
-    u = 1.0 / dist.dimension
-    return ProbabilityVector(tuple((1.0 - lam) * w + lam * u for w in dist.weights))
+    return ProbabilityVector(tuple(_noisy(np.asarray(dist.weights), _as_lam(noise)).tolist()))
+
+
+def _noisy(weights: np.ndarray, lam: float) -> np.ndarray:
+    """``apply_noise``'s channel along the last axis, clamped at 1 as ProbabilityVector does."""
+    return np.minimum((1.0 - lam) * weights + lam * (1.0 / weights.shape[-1]), 1.0)
 
 
 def detection_power(
@@ -307,8 +310,7 @@ def detection_power(
 
 def _power_curve(nature, understanding, sigmas, seeds, n, alpha, reps, noise) -> list[float]:
     """``detection_power`` at each (sigma, seed) pair, with one null, plan and
-    critical value.  The alternatives are computed elementwise in the order
-    of ``apply_noise(exercise_will(...))``, with its clamps, so they have its bits."""
+    critical value.  Each alternative has the bits of ``apply_noise(exercise_will(...))``."""
     if reps < 100:
         raise ValueError(f"need at least 100 replications for a stable estimate, got {reps}")
     if n < 1:
@@ -322,8 +324,7 @@ def _power_curve(nature, understanding, sigmas, seeds, n, alpha, reps, noise) ->
     null = apply_noise(nature, lam)
     plan = pooling_plan(null, n)
     critical, band = critical_band(alpha, plan.dof)
-    blends = np.minimum(_blend_grid(nature, understanding, sigmas), 1.0)
-    alternatives = np.minimum((1.0 - lam) * blends + lam * (1.0 / nature.dimension), 1.0)
+    alternatives = _noisy(_blend_weights(nature, understanding, sigmas), lam)
     decide = functools.partial(deviation_verdicts, plan=plan, alpha=alpha, critical=critical, band=band)
     return [_hit_rate(decide, n, weights, reps, seed) for weights, seed in zip(alternatives, seeds)]
 

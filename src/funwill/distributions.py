@@ -179,10 +179,10 @@ def _blend_grid(nature: ProbabilityVector, understanding: ProbabilityVector, sig
     return s * np.asarray(understanding.weights) + (1.0 - s) * np.asarray(nature.weights)
 
 
-def _blend_weights(nature: ProbabilityVector, understanding: ProbabilityVector, sigmas) -> list[list[float]]:
-    """The weights of ``exercise_will`` at each sigma, as plain floats: the
-    blend grid with ProbabilityVector's clamp of a weight just above 1."""
-    return np.minimum(_blend_grid(nature, understanding, sigmas), 1.0).tolist()
+def _blend_weights(nature: ProbabilityVector, understanding: ProbabilityVector, sigmas) -> np.ndarray:
+    """The weights of ``exercise_will`` at each sigma: the blend grid with
+    ProbabilityVector's clamp of a weight just above 1."""
+    return np.minimum(_blend_grid(nature, understanding, sigmas), 1.0)
 
 
 def unpredictability(dist: ProbabilityVector) -> float:

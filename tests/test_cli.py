@@ -109,6 +109,13 @@ class TestConfigValidation:
         # The grid is built only when ``sigmas`` is read, so this allocates nothing.
         build_config({**SAINT_CFG, "sigma": {"start": 0.0, "stop": 1.0, "steps": 10**6}})
 
+    def test_one_step_sweep_must_stop_where_it_starts(self, tmp_path, caplog):
+        sweep = {"start": 0.2, "stop": 0.8, "steps": 1}
+        cfg_path = write_cfg(tmp_path, {**SAINT_CFG, "sigma": sweep, "out": str(tmp_path / "s.csv")})
+        assert main(["distort", "--config", cfg_path, "--quiet"]) == 2
+        assert "config error: sigma:" in caplog.text
+        assert build_config({"sigma": {"start": 0.3, "stop": 0.3, "steps": 1}}).sigmas == (0.3,)
+
     def test_scalar_sigma(self):
         cfg = build_config({**SAINT_CFG, "sigma": 0.5})
         assert cfg.sigmas == (0.5,)
@@ -168,8 +175,15 @@ class TestConfigValidation:
             assert all(a <= b for a, b in zip(grid, grid[1:]))
 
     def test_dimension_cross_check(self):
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(ConfigInvalid) as exc:
             build_config({**SAINT_CFG, "understanding": [0.2, 0.3, 0.5]})
+        assert exc.value.field == "understanding"
+        assert str(exc.value) == "understanding: has 3 entries, but labels has 2"
+
+    def test_dimension_cross_check_names_the_mismatched_field(self, tmp_path, caplog):
+        doc = {**LLN_CFG, "payoff": [1, 0, 3], "out": str(tmp_path / "l.csv")}
+        assert main(["lln", "--config", write_cfg(tmp_path, doc), "--quiet"]) == 2
+        assert "config error: payoff: has 3 entries, but nature has 2" in caplog.text
 
     def test_missing_required_field_for_runner(self):
         cfg = build_config({"labels": ["a", "b"], "nature": [0.5, 0.5], "sigma": 0.1, "seed": 0})
@@ -455,7 +469,8 @@ class TestRunPower:
         pooling_plan, critical_band = detect.pooling_plan, detect.critical_band
         monkeypatch.setattr(detect, "pooling_plan", lambda *a: plans.append(a) or pooling_plan(*a))
         monkeypatch.setattr(detect, "critical_band", lambda *a: bands.append(a) or critical_band(*a))
-        run_power(build_config({**SAINT_CFG, "sigma": {"start": 0.0, "stop": 0.1, "steps": steps}}))
+        stop = 0.1 if steps > 1 else 0.0  # a one-step sweep stops where it starts
+        run_power(build_config({**SAINT_CFG, "sigma": {"start": 0.0, "stop": stop, "steps": steps}}))
         assert len(plans) == 1 and len(bands) == 1
 
 

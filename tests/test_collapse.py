@@ -12,6 +12,7 @@ from funwill.collapse import (
     AmplitudeState,
     CollapseOutcome,
     PovmSet,
+    _realized_rows,
     _table,
     build_povm,
     check_completeness,
@@ -106,6 +107,30 @@ class TestBuildPovm:
         state = prepare_state(nature)
         assert check_completeness(povm, state) <= COMPLETENESS_TOL
         assert outcome_distribution(povm, state).weights == pytest.approx((0.5, 0.5), abs=1e-15)
+
+
+class TestUnreachableGuidance:
+    """Guidance on a zero-baseline outcome is unreachable for every sigma > 0, and only then."""
+
+    NATURE = make_distribution([0.5, 0.0, 0.0, 0.5])
+    UNDERSTANDING = make_distribution([0.0, 0.3, 0.7, 0.0])
+
+    def test_zero_will_is_projective_even_off_the_support(self):
+        povm = build_povm(make_distribution([0.0, 1.0]), make_distribution([1.0, 0.0]), 0.0)
+        assert povm.coefficients == (0.0, 1.0)
+
+    def test_positive_will_names_the_first_unreachable_outcome(self):
+        with pytest.raises(UnreachableGuidance, match="guidance weight 0.3 on outcome 1 "):
+            build_povm(self.NATURE, self.UNDERSTANDING, 0.5)
+
+    def test_realized_rows_raise_at_the_first_positive_sigma(self):
+        rows = _realized_rows(self.NATURE, self.UNDERSTANDING, [0.0, 0.5])
+        povm, state = build_povm(self.NATURE, self.UNDERSTANDING, 0.0), prepare_state(self.NATURE)
+        weights, residual = next(rows)
+        assert tuple(weights) == outcome_distribution(povm, state).weights
+        assert residual == check_completeness(povm, state) <= COMPLETENESS_TOL
+        with pytest.raises(UnreachableGuidance, match="guidance weight 0.3 on outcome 1 "):
+            next(rows)
 
 
 class TestCompleteness:

@@ -24,6 +24,8 @@ from funwill.collapse import (
 from funwill.detect import (
     DEVIATION,
     TrialCounts,
+    _noisy,
+    apply_noise,
     chebyshev_bound,
     chi_squared_test,
     _scaled_moments,
@@ -32,7 +34,7 @@ from funwill.detect import (
     lln_concentration,
     pooling_plan,
 )
-from funwill.distributions import ProbabilityVector, exercise_will, make_distribution
+from funwill.distributions import ProbabilityVector, _blend_weights, exercise_will, make_distribution
 from funwill.errors import InsufficientExpected
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -73,6 +75,19 @@ def test_blend_equals_the_reference_loop(inputs):
         min(sigma * u + (1.0 - sigma) * p, 1.0) for p, u in zip(nature.weights, understanding.weights)
     )
     assert exercise_will(nature, understanding, sigma).weights == want
+
+
+@PROPERTY
+@given(blend_inputs(), st.floats(0.0, 1.0))
+def test_noise_channel_equals_the_reference_loop(inputs, lam):
+    """One noise formula: ``apply_noise`` and the batched channel have the plain loop's bits."""
+    nature, understanding, sigma = inputs
+    d = nature.dimension
+    for dist in (nature, understanding):
+        want = tuple(min((1.0 - lam) * w + lam * (1.0 / d), 1.0) for w in dist.weights)
+        assert apply_noise(dist, lam).weights == want
+    batched = _noisy(_blend_weights(nature, understanding, [sigma]), lam)[0].tolist()
+    assert batched == list(apply_noise(exercise_will(nature, understanding, sigma), lam).weights)
 
 
 @PROPERTY
