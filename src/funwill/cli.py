@@ -43,7 +43,7 @@ from .detect import (
     _power_curve,
     chebyshev_bound,
     lln_concentration,
-    pearson_test,
+    pearson_tests,
     pooling_plan,
 )
 from .distributions import (
@@ -58,6 +58,7 @@ from .distributions import (
 )
 from .errors import (
     ConfigInvalid,
+    DegenerateNull,
     IncompletePovm,
     InsufficientExpected,
     IoFailure,
@@ -195,13 +196,13 @@ class ExperimentConfig:
 
     @property
     def sigmas(self) -> tuple[float, ...]:
-        """The sigma grid: the scalar, or the sweep from ``start`` to ``stop``."""
+        """The sigma grid: the scalar, or the sweep from ``start`` to ``stop``, -0.0 read as 0.0."""
         spec = self.sigma
         if spec is None:
             return ()
         if not isinstance(spec, dict):
-            return (float(spec),)
-        start, stop, steps = float(spec["start"]), float(spec["stop"]), spec["steps"]
+            return (float(spec) + 0.0,)
+        start, stop, steps = float(spec["start"]), float(spec["stop"]) + 0.0, spec["steps"]
         width = stop - start
         # The last point is pinned: start + width can round past stop.
         return tuple(start + i * width / (steps - 1) for i in range(steps - 1)) + (stop,)
@@ -342,28 +343,29 @@ def run_collapse(config: ExperimentConfig) -> ResultRecord:
 
     Each row takes its outcome weights and completeness residual from
     ``collapse._realized_rows`` and records the residual, the empirical
-    frequencies of ``trials`` collapses (in the p_prime columns), their
-    entropy, and the chi-squared report against the baseline (the Born
-    null).  Row i draws from ``default_rng(derive_seed(seed, i))``, so any
-    row replays alone through ``build_povm``, ``outcome_distribution``,
-    ``simulate_trials`` and ``chi_squared_test``.
+    frequencies of ``trials`` collapses (in the p_prime columns) and their
+    entropy.  Row i draws from ``default_rng(derive_seed(seed, i))``; after
+    the last draw, one ``pearson_tests`` call adds every row's chi-squared
+    report against the baseline (the Born null).  Any row replays alone
+    through ``build_povm``, ``outcome_distribution``, ``simulate_trials``
+    and ``chi_squared_test``.
     """
     nature, understanding, _, trials, seed, _ = config.require(
         "nature", "understanding", "labels", "trials", "seed", "sigma"
     )
     sigmas = config.sigmas
     plan = None
-    cells = []
+    cells, rows = [], []
     realized = _realized_rows(nature, understanding, sigmas)
     for i, (sigma, (weights, residual)) in enumerate(zip(sigmas, realized)):
         counts = np.random.default_rng(derive_seed(seed, i)).multinomial(trials, weights).tolist()
         if plan is None:  # after the first row's model errors, which take precedence
             plan = pooling_plan(nature, trials)
-        statistic, p_value, verdict = pearson_test(counts, plan, config.alpha)
-        cells.append({
-            "sigma": sigma, **_distribution_cells([c / trials for c in counts]), "residual": residual,
-            "chi2": statistic, "p_value": p_value, "verdict": verdict,
-        })
+        rows.append(counts)
+        cells.append({"sigma": sigma, **_distribution_cells([c / trials for c in counts]),
+                      "residual": residual})
+    for cell, report in zip(cells, pearson_tests(np.array(rows), plan, config.alpha)):
+        cell.update(zip(("chi2", "p_value", "verdict"), report))
     return _record("collapse", config, cells)
 
 
@@ -575,7 +577,10 @@ def main(argv=None) -> int:
     except ConfigInvalid as err:
         logger.error("config error: %s", err)
         return 2
-    except InsufficientExpected as err:  # raised by the chi-squared test of collapse and power
+    except DegenerateNull as err:  # the chi-squared test of collapse and power raises both
+        logger.error("config error: nature: no trial count gives a chi-squared test: %s", err)
+        return 2
+    except InsufficientExpected as err:
         logger.error("config error: trials: too few trials for a chi-squared test: %s", err)
         return 2
     except (UnreachableGuidance, IncompletePovm) as err:

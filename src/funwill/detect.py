@@ -33,7 +33,7 @@ import numpy as np
 from .distributions import (
     ProbabilityVector, WillStrength, _as_sigma, _blend_weights, _check_dims, _unit_interval,
 )
-from .errors import DimensionMismatch, InsufficientExpected
+from .errors import DegenerateNull, DimensionMismatch, InsufficientExpected
 from .seeding import derive_seed, validate_seed
 from .special import chi_squared_isf, chi_squared_sf
 
@@ -43,10 +43,10 @@ POOL_THRESHOLD = 5.0
 # Replications drawn per seeded block by the Monte Carlo estimators.
 BLOCK = 1024
 
-# Batched statistics within this relative distance of the critical value are
-# re-decided row by row through pearson_test, so batched verdicts equal
-# per-row ``p_value < alpha`` despite summation-order rounding (see
-# critical_band for the one case where the band widens).
+# Statistics within this relative distance of the critical value are
+# re-decided through their p-values.  The band covers the error of the
+# computed critical value, so batched verdicts equal per-row
+# ``p_value < alpha`` (see critical_band for the one case where it widens).
 CRITICAL_BAND = 1e-6
 
 CONSISTENT = "consistent"
@@ -140,7 +140,8 @@ class PoolingPlan:
 def pooling_plan(expected: ProbabilityVector, total: int) -> PoolingPlan:
     """Pool cells with expected count below POOL_THRESHOLD, drop zero-expected ones.
 
-    Raises InsufficientExpected when fewer than two test cells remain.
+    Raises InsufficientExpected when fewer than two test cells remain, and
+    its subclass DegenerateNull when no total could leave two.
     """
     kept, pooled, impossible = [], [], []
     cells: list[float] = []
@@ -157,6 +158,9 @@ def pooling_plan(expected: ProbabilityVector, total: int) -> PoolingPlan:
             cells.append(e)
     if pooled:
         cells.append(pooled_e)
+    possible = expected.dimension - len(impossible)
+    if possible < 2:
+        raise DegenerateNull(f"the null has {possible} outcome(s) of positive probability; need at least 2")
     if len(cells) < 2:
         raise InsufficientExpected(
             f"only {len(cells)} cell(s) left after pooling below {POOL_THRESHOLD}; "
@@ -183,31 +187,17 @@ def chi_squared_test(
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"significance level must lie in (0, 1), got {alpha}")
     plan = pooling_plan(expected, observed.total)
-    statistic, p_value, verdict = pearson_test(observed.counts, plan, alpha)
+    ((statistic, p_value, verdict),) = pearson_tests(np.array([observed.counts]), plan, alpha)
     return TestReport(statistic=statistic, p_value=p_value, dof=plan.dof, verdict=verdict)
-
-
-def pearson_test(counts, plan: PoolingPlan, alpha: float) -> tuple[float, float, str]:
-    """Statistic, p-value and verdict of ``chi_squared_test`` for a sequence
-    of integer counts whose total ``plan`` was made for."""
-    if any(counts[j] for j in plan.impossible):
-        statistic, p_value = math.inf, 0.0
-    else:
-        cells = [float(counts[j]) for j in plan.kept]
-        if plan.pooled:
-            cells.append(float(sum(counts[j] for j in plan.pooled)))
-        statistic = math.fsum((o - e) ** 2 / e for e, o in zip(plan.expected, cells))
-        p_value = chi_squared_sf(statistic, plan.dof)
-    return statistic, p_value, DEVIATION if p_value < alpha else CONSISTENT
 
 
 def pearson_statistics(counts: np.ndarray, plan: PoolingPlan) -> np.ndarray:
     """Pearson statistic of every row of a (rows, cells) count array.
 
-    Rows with a hit on an impossible cell get +inf, and so do rows whose
-    quotient on a cell of tiny expected count overflows, as in
-    ``pearson_test``.  Sums run in numpy's order, so values can differ from
-    ``chi_squared_test`` in the last bits.
+    Each row adds its test cells' terms ``(o - e)**2 / e`` left to right,
+    pooled cell last, so a row has the same statistic in a block of any
+    size.  Rows with a hit on an impossible cell get +inf, and so do rows
+    whose quotient on a cell of tiny expected count overflows.
     """
     observed = counts[:, plan.kept]
     if plan.pooled:
@@ -215,10 +205,20 @@ def pearson_statistics(counts: np.ndarray, plan: PoolingPlan) -> np.ndarray:
         observed = np.concatenate([observed, pooled], axis=1)
     expected = np.asarray(plan.expected)
     with np.errstate(over="ignore"):
-        statistic = ((observed - expected) ** 2 / expected).sum(axis=1)
+        statistic = functools.reduce(np.add, ((observed - expected) ** 2 / expected).T)
     if plan.impossible:
         statistic[counts[:, plan.impossible].any(axis=1)] = math.inf
     return statistic
+
+
+def pearson_tests(counts: np.ndarray, plan: PoolingPlan, alpha: float) -> list[tuple[float, float, str]]:
+    """Statistic, p-value and verdict of ``chi_squared_test`` for each row of
+    a (rows, cells) count array whose common total ``plan`` was made for."""
+    reports = []
+    for statistic in pearson_statistics(counts, plan).tolist():
+        p_value = chi_squared_sf(statistic, plan.dof)
+        reports.append((statistic, p_value, DEVIATION if p_value < alpha else CONSISTENT))
+    return reports
 
 
 def critical_band(alpha: float, dof: int) -> tuple[float, float]:
@@ -247,13 +247,13 @@ def deviation_verdicts(
     ``plan`` must be the null's ``pooling_plan`` for the rows' common total,
     and ``critical, band`` must be ``critical_band(alpha, plan.dof)``.  Rows
     are decided against the critical value; rows whose statistic lies
-    within the relative band of it are re-decided by ``pearson_test``.
+    within the relative band of it are re-decided by ``pearson_tests``.
     """
     statistic = pearson_statistics(counts, plan)
     deviates = statistic > critical * (1.0 + band)
     near = ~deviates & (statistic >= critical * (1.0 - band))
-    for r in np.flatnonzero(near):
-        deviates[r] = pearson_test(counts[r].tolist(), plan, alpha)[2] == DEVIATION
+    if near.any():
+        deviates[near] = [verdict == DEVIATION for *_, verdict in pearson_tests(counts[near], plan, alpha)]
     return deviates
 
 

@@ -54,6 +54,10 @@ class InsufficientExpected(ValueError):
     """Pooling low-expected-count cells left fewer than two test cells."""
 
 
+class DegenerateNull(InsufficientExpected):
+    """The null has fewer than two possible outcomes, so no total gives two test cells."""
+
+
 class ConfigInvalid(ValueError):
     """An experiment config failed validation; ``field`` names the culprit."""
 

@@ -4,6 +4,7 @@ import json
 import math
 import os
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +120,14 @@ class TestConfigValidation:
     def test_scalar_sigma(self):
         cfg = build_config({**SAINT_CFG, "sigma": 0.5})
         assert cfg.sigmas == (0.5,)
+
+    @pytest.mark.parametrize("sigma", [
+        -0.0, {"start": -0.0, "stop": -0.0, "steps": 1}, {"start": -0.0, "stop": 1.0, "steps": 3},
+    ])
+    def test_negative_zero_sigma_is_written_as_zero(self, sigma):
+        rec = run_distort(build_config({**SAINT_CFG, "sigma": sigma}))
+        assert math.copysign(1.0, rec.rows[0]["sigma"]) == 1.0
+        assert render_csv(rec).splitlines()[1].startswith("0,")
 
     @pytest.mark.parametrize("field, value", [
         ("trials", True),
@@ -282,6 +291,29 @@ class TestRunDistort:
         )
 
 
+# Nulls with one outcome of positive probability: no trial count gives two test cells.
+DEGENERATE_NULLS = {
+    "certain": {"labels": ["a", "b"], "nature": [1.0, 0.0], "understanding": [1.0, 0.0]},
+    "one_outcome": {"labels": ["a"], "nature": [1.0], "understanding": [1.0]},
+}
+
+
+@pytest.mark.parametrize("command", ["collapse", "power"])
+@pytest.mark.parametrize("space", DEGENERATE_NULLS)
+def test_degenerate_null_is_a_config_error_naming_nature(tmp_path, caplog, command, space):
+    doc = {**SAINT_CFG, **DEGENERATE_NULLS[space], "sigma": 0.5, "trials": 10**6,
+           "out": str(tmp_path / "n.csv")}
+    assert main([command, "--config", write_cfg(tmp_path, doc), "--quiet"]) == 2
+    assert "config error: nature: no trial count gives a chi-squared test" in caplog.text
+    assert "config error: trials:" not in caplog.text
+
+
+def test_noise_makes_a_certain_nature_testable(tmp_path):
+    doc = {**SAINT_CFG, **DEGENERATE_NULLS["certain"], "sigma": 0.5, "noise": 0.1,
+           "out": str(tmp_path / "n.csv")}
+    assert main(["power", "--config", write_cfg(tmp_path, doc), "--quiet"]) == 0
+
+
 class TestRunCollapse:
     def test_zero_will_mostly_consistent_over_100_seeds(self):
         base = {**SAINT_CFG, "sigma": 0.0, "trials": 10_000}
@@ -419,6 +451,15 @@ class TestSweepEquivalence:
         assert json.loads(out.read_text())["rows"][0]["residual"] <= 1e-9
 
 
+def test_collapse_rows_are_tested_in_one_batched_call(monkeypatch):
+    shapes = []
+    statistics = detect.pearson_statistics
+    monkeypatch.setattr(detect, "pearson_statistics",
+                        lambda c, plan: shapes.append(c.shape) or statistics(c, plan))
+    run_collapse(build_config(SWEEP16_CFG))
+    assert shapes == [(21, 16)]
+
+
 # Full noise: the null and every alternative are uniform, so power stays near alpha.
 FULL_NOISE_CFG = {
     "labels": list("abcd"), "nature": [0.4, 0.3, 0.2, 0.1], "understanding": [0.1, 0.2, 0.3, 0.4],
@@ -487,14 +528,14 @@ class TestEmit:
         rec = ResultRecord("distort-x", {}, EXPECTED_HEADER.split(","), [])
         path = str(tmp_path / "empty.csv")
         emit(rec, path, "csv")
-        assert open(path).read() == EXPECTED_HEADER + "\n"
+        assert Path(path).read_text() == EXPECTED_HEADER + "\n"
 
     def test_one_row_record_is_two_lines(self, tmp_path):
         cfg = build_config({**SAINT_CFG, "sigma": 0.5})
         rec = run_distort(cfg)
         path = str(tmp_path / "one.csv")
         emit(rec, path, "csv")
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert len(lines) == 2
         assert lines[0] == EXPECTED_HEADER
 
@@ -510,7 +551,7 @@ class TestEmit:
         rec = run_distort(build_config(SAINT_CFG))
         path = str(tmp_path / "rec.json")
         emit(rec, path, "json")
-        doc = json.loads(open(path).read())
+        doc = json.loads(Path(path).read_text())
         assert doc["experiment_id"] == rec.experiment_id
         assert doc["columns"] == rec.columns
         assert len(doc["rows"]) == len(rec.rows)
@@ -579,14 +620,14 @@ class TestMain:
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         assert main(["collapse", "--config", cfg_path, "--out", a, "--quiet"]) == 0
         assert main(["collapse", "--config", cfg_path, "--out", b, "--quiet"]) == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg_path = write_cfg(tmp_path, {**SAINT_CFG, "trials": 2000})
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         assert main(["collapse", "--config", cfg_path, "--out", a, "--quiet"]) == 0
         assert main(["collapse", "--config", cfg_path, "--out", b, "--seed", "999", "--quiet"]) == 0
-        assert open(a).read() != open(b).read()
+        assert Path(a).read_text() != Path(b).read_text()
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         doc = {k: v for k, v in SAINT_CFG.items() if k != "seed"}
@@ -663,7 +704,7 @@ class TestMain:
         cfg_path = write_cfg(tmp_path, SAINT_CFG)
         out = str(tmp_path / "d.json")
         assert main(["distort", "--config", cfg_path, "--out", out, "--format", "json", "--quiet"]) == 0
-        assert json.loads(open(out).read())["experiment_id"].startswith("distort-")
+        assert json.loads(Path(out).read_text())["experiment_id"].startswith("distort-")
 
     def test_flags_do_not_leak_into_the_next_call(self, tmp_path, caplog, monkeypatch):
         monkeypatch.delenv("FUNWILL_SEED", raising=False)

@@ -1,6 +1,8 @@
 """Monte Carlo sampling, goodness-of-fit, power, noise masking, weak law."""
 
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from funwill.detect import (
     _scaled_moments,
     lln_concentration,
     pearson_statistics,
+    pearson_tests,
     pooling_plan,
     simulate_trials,
 )
@@ -343,6 +346,45 @@ class TestBatchedVerdicts:
         assert plan.expected == pytest.approx((90.0, 6.0, 4.0)) and plan.dof == 2
         with pytest.raises(InsufficientExpected):
             pooling_plan(FAIR, 6)
+
+
+# (null, sampling distribution, n): the benchmark's 16-outcome sweep null at
+# 10,000 trials, which pools nothing, and a null that pools a cell and has an
+# impossible one, which its sampling distribution hits now and then.
+PEARSON_CASES = {
+    "sweep16": (make_distribution([0.02] * 8 + [0.105] * 8),) * 2 + (10_000,),
+    "pooled": EQUIVALENCE_CASES[1][:3],
+}
+
+
+def left_to_right_statistic(row, plan):
+    """Pearson's sum over one row's test cells in order, pooled cell last."""
+    if any(row[j] for j in plan.impossible):
+        return math.inf
+    observed = [row[j] for j in plan.kept] + ([sum(row[j] for j in plan.pooled)] if plan.pooled else [])
+    terms = [(o - e) ** 2 / e for o, e in zip(observed, plan.expected)]
+    return functools.reduce(operator.add, terms)  # uncompensated, as sum() is before Python 3.12
+
+
+class TestOnePearsonSum:
+    @pytest.mark.parametrize("case", PEARSON_CASES)
+    def test_statistic_does_not_depend_on_block_size(self, case):
+        null, sampling, n = PEARSON_CASES[case]
+        counts = np.random.default_rng(20).multinomial(n, sampling.weights, size=BLOCK)
+        plan = pooling_plan(null, n)
+        block = pearson_statistics(counts, plan).tolist()
+        assert block == [pearson_statistics(counts[r:r + 1], plan)[0] for r in range(BLOCK)]
+        assert block == [left_to_right_statistic(row, plan) for row in counts.tolist()]
+        assert (math.inf in block) == bool(plan.impossible)  # the pooled case hits its impossible cell
+
+    @pytest.mark.parametrize("case", PEARSON_CASES)
+    def test_pearson_tests_equal_chi_squared_test(self, case):
+        null, sampling, n = PEARSON_CASES[case]
+        counts = np.random.default_rng(21).multinomial(n, sampling.weights, size=300)
+        reports = [chi_squared_test(TrialCounts(tuple(row), n, 0), null, 0.05) for row in counts.tolist()]
+        assert pearson_tests(counts, pooling_plan(null, n), 0.05) == [
+            (report.statistic, report.p_value, report.verdict) for report in reports
+        ]
 
 
 def reference_power(nature, understanding, sigma, n, alpha, reps, seed):
