@@ -15,7 +15,6 @@ from .collapse import (
     prepare_state,
 )
 from .detect import (
-    NoiseLevel,
     TestReport,
     TrialCounts,
     apply_noise,
@@ -31,7 +30,6 @@ from .distributions import (
     UNCERTAINTY_INCREASING,
     ChoiceSpace,
     ProbabilityVector,
-    WillStrength,
     classify_regime,
     entropy_gradient,
     exercise_will,
@@ -51,14 +49,12 @@ __all__ = [
     "CERTAINTY_INCREASING",
     "ChoiceSpace",
     "CollapseOutcome",
-    "NoiseLevel",
     "PovmSet",
     "ProbabilityVector",
     "STATIONARY",
     "TestReport",
     "TrialCounts",
     "UNCERTAINTY_INCREASING",
-    "WillStrength",
     "agent_unpredictability",
     "apply_noise",
     "archetype",

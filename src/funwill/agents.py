@@ -25,19 +25,20 @@ from itertools import accumulate
 import numpy as np
 
 from .collapse import _pick
-from .distributions import (
-    ChoiceSpace,
-    ProbabilityVector,
-    WillStrength,
-    exercise_will,
-    unpredictability,
-)
+from .distributions import ChoiceSpace, ProbabilityVector, _unit_interval, exercise_will, unpredictability
 from .errors import DimensionMismatch
-
-ARCHETYPE_KINDS = ("saint", "conscientious_criminal", "hardcore_criminal", "particle")
 
 _MORAL_SPACE = ChoiceSpace(("good", "evil"))
 _ETHICAL_GUIDANCE = ProbabilityVector((1.0, 0.0))
+
+# kind -> (P, sigma) of each moral archetype; all share the space and U above.
+_MORAL = {
+    "saint": (ProbabilityVector((0.5, 0.5)), 0.99),
+    "conscientious_criminal": (ProbabilityVector((0.001, 0.999)), 0.5),
+    "hardcore_criminal": (ProbabilityVector((0.001, 0.999)), 0.01),
+}
+
+ARCHETYPE_KINDS = (*_MORAL, "particle")
 
 
 @dataclass(frozen=True)
@@ -47,10 +48,11 @@ class AgentProfile:
     space: ChoiceSpace
     nature: ProbabilityVector
     understanding: ProbabilityVector
-    will: WillStrength
+    will: float
     name: str = "agent"
 
     def __post_init__(self):
+        object.__setattr__(self, "will", _unit_interval(self.will, "will strength"))
         if not (self.space.dimension == self.nature.dimension == self.understanding.dimension):
             raise DimensionMismatch(
                 f"space/nature/understanding dimensions differ: "
@@ -68,45 +70,24 @@ class AgentProfile:
         return tuple(accumulate(self.effective.weights))
 
 
-def archetype(
-    kind: str,
-    nature: ProbabilityVector | None = None,
-    labels: tuple[str, ...] | None = None,
-) -> AgentProfile:
+def archetype(kind: str, nature: ProbabilityVector | None = None) -> AgentProfile:
     """Build one of the canonical profiles.
 
-    ``nature`` and ``labels`` apply only to the particle archetype (which
-    has no canonical baseline of its own); supplying them for a moral
-    archetype is an error.
+    ``nature`` applies only to the particle archetype (which has no
+    canonical baseline of its own; its outcomes are labelled "0", "1", ...);
+    supplying it for a moral archetype is an error.
     """
     if kind not in ARCHETYPE_KINDS:
         raise ValueError(f"unknown archetype {kind!r}; expected one of {ARCHETYPE_KINDS}")
     if kind == "particle":
         if nature is None:
             raise ValueError("the particle archetype needs a caller-supplied nature vector")
-        space = ChoiceSpace(labels if labels is not None else tuple(str(j) for j in range(nature.dimension)))
-        return AgentProfile(
-            space=space,
-            nature=nature,
-            understanding=nature,
-            will=WillStrength(0.0),
-            name="particle",
-        )
-    if nature is not None or labels is not None:
-        raise ValueError(f"archetype {kind!r} is canonical; nature/labels are fixed")
-    if kind == "saint":
-        base, sigma = ProbabilityVector((0.5, 0.5)), 0.99
-    elif kind == "conscientious_criminal":
-        base, sigma = ProbabilityVector((0.001, 0.999)), 0.5
-    else:  # hardcore_criminal
-        base, sigma = ProbabilityVector((0.001, 0.999)), 0.01
-    return AgentProfile(
-        space=_MORAL_SPACE,
-        nature=base,
-        understanding=_ETHICAL_GUIDANCE,
-        will=WillStrength(sigma),
-        name=kind,
-    )
+        space = ChoiceSpace(tuple(str(j) for j in range(nature.dimension)))
+        return AgentProfile(space=space, nature=nature, understanding=nature, will=0.0, name="particle")
+    if nature is not None:
+        raise ValueError(f"archetype {kind!r} is canonical; its nature is fixed")
+    base, sigma = _MORAL[kind]
+    return AgentProfile(_MORAL_SPACE, base, _ETHICAL_GUIDANCE, will=sigma, name=kind)
 
 
 def choose(agent: AgentProfile, rng: np.random.Generator) -> str:

@@ -118,8 +118,7 @@ def _vector(value) -> ProbabilityVector:
 def _sigma(spec):
     """A will strength in [0, 1] or a ``{start, stop, steps}`` sweep, kept as given."""
     if not isinstance(spec, dict):
-        if not 0.0 <= _number(spec) <= 1.0:
-            raise ValueError(f"must lie in [0, 1], got {spec!r}")
+        _unit_interval(_number(spec), "will strength")
         return spec
     if set(spec) != {"start", "stop", "steps"}:
         raise ValueError(f"a sweep takes exactly start, stop and steps, got {sorted(spec)}")
@@ -484,17 +483,12 @@ def emit(record: ResultRecord, path: str, fmt: str) -> str:
 def format_archetypes() -> str:
     """Human-readable table of the canonical profiles."""
     lines = []
-    profiles = [
-        agents.archetype("saint"),
-        agents.archetype("conscientious_criminal"),
-        agents.archetype("hardcore_criminal"),
-        agents.archetype("particle", nature=ProbabilityVector((0.5, 0.5))),
-    ]
-    for prof in profiles:
+    for kind in agents.ARCHETYPE_KINDS:
+        prof = agents.archetype(kind, nature=ProbabilityVector((0.5, 0.5)) if kind == "particle" else None)
         eff = prof.effective
         lines.append(
             f"{prof.name}: labels={'/'.join(prof.space.labels)} "
-            f"sigma={prof.will.sigma:.12g} "
+            f"sigma={prof.will:.12g} "
             f"nature=({', '.join(f'{w:.12g}' for w in prof.nature.weights)}) "
             f"understanding=({', '.join(f'{w:.12g}' for w in prof.understanding.weights)}) "
             f"effective=({', '.join(f'{w:.12g}' for w in eff.weights)}) "

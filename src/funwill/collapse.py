@@ -35,7 +35,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .distributions import ProbabilityVector, WillStrength, _as_sigma, _blend_grid, _check_dims
+from .distributions import ProbabilityVector, _blend_grid, _check_dims, _unit_interval
 from .errors import DimensionMismatch, IncompletePovm, NotNormalized, UnreachableGuidance
 
 # Completeness residual above this rejects the povm/state pairing.
@@ -126,7 +126,7 @@ def prepare_state(nature: ProbabilityVector) -> AmplitudeState:
 def build_povm(
     nature: ProbabilityVector,
     understanding: ProbabilityVector,
-    will: WillStrength | float,
+    will: float,
 ) -> PovmSet:
     """Construct the state-dependent measurement for a (P, U, sigma) triple.
 
@@ -138,7 +138,8 @@ def build_povm(
     amplitude can make the completeness sum reach 1.
     """
     _check_dims(nature, understanding, "nature and understanding")
-    return PovmSet(tuple(next(_povm_rows(nature, understanding, [_as_sigma(will)]))))
+    sigma = _unit_interval(will, "will strength")
+    return PovmSet(tuple(next(_povm_rows(nature, understanding, [sigma]))))
 
 
 def _unreachable(nature: ProbabilityVector, understanding: ProbabilityVector) -> UnreachableGuidance | None:

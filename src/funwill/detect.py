@@ -30,9 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (
-    ProbabilityVector, WillStrength, _as_sigma, _blend_weights, _check_dims, _unit_interval,
-)
+from .distributions import ProbabilityVector, _blend_weights, _check_dims, _unit_interval
 from .errors import DegenerateNull, DimensionMismatch, InsufficientExpected
 from .seeding import derive_seed, validate_seed
 from .special import chi_squared_isf, chi_squared_sf
@@ -91,20 +89,6 @@ class TestReport:
             raise ValueError(f"dof must be >= 1, got {self.dof}")
         if self.verdict not in (CONSISTENT, DEVIATION):
             raise ValueError(f"verdict must be consistent/deviation, got {self.verdict!r}")
-
-
-@dataclass(frozen=True)
-class NoiseLevel:
-    """Mixing weight of the uniform distribution, in [0, 1]."""
-
-    lam: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", _unit_interval(self.lam, "noise level"))
-
-
-def _as_lam(noise: NoiseLevel | float) -> float:
-    return noise.lam if isinstance(noise, NoiseLevel) else _unit_interval(float(noise), "noise level")
 
 
 def simulate_trials(dist: ProbabilityVector, n: int, seed: int) -> TrialCounts:
@@ -272,9 +256,10 @@ def _hit_rate(decide, n: int, weights, reps: int, seed: int, *path: int) -> floa
     return hits / reps
 
 
-def apply_noise(dist: ProbabilityVector, noise: NoiseLevel | float) -> ProbabilityVector:
+def apply_noise(dist: ProbabilityVector, noise: float) -> ProbabilityVector:
     """Mix a uniform component into a distribution: (1-lam)*dist + lam*uniform."""
-    return ProbabilityVector(tuple(_noisy(np.asarray(dist.weights), _as_lam(noise)).tolist()))
+    lam = _unit_interval(noise, "noise level")
+    return ProbabilityVector(tuple(_noisy(np.asarray(dist.weights), lam).tolist()))
 
 
 def _noisy(weights: np.ndarray, lam: float) -> np.ndarray:
@@ -285,12 +270,12 @@ def _noisy(weights: np.ndarray, lam: float) -> np.ndarray:
 def detection_power(
     nature: ProbabilityVector,
     understanding: ProbabilityVector,
-    will: WillStrength | float,
+    will: float,
     n: int,
     alpha: float,
     reps: int,
     seed: int,
-    noise: NoiseLevel | float = 0.0,
+    noise: float = 0.0,
 ) -> float:
     """Monte Carlo power of the chi-squared detector against a willed blend.
 
@@ -317,9 +302,9 @@ def _power_curve(nature, understanding, sigmas, seeds, n, alpha, reps, noise) ->
         raise ValueError(f"trial count must be >= 1, got {n}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"significance level must lie in (0, 1), got {alpha}")
-    lam = _as_lam(noise)
+    lam = _unit_interval(noise, "noise level")
     _check_dims(nature, understanding, "nature and understanding")
-    sigmas = [_as_sigma(will) for will in sigmas]
+    sigmas = [_unit_interval(will, "will strength") for will in sigmas]
     seeds = [validate_seed(seed) for seed in seeds]
     null = apply_noise(nature, lam)
     plan = pooling_plan(null, n)

@@ -99,25 +99,11 @@ class ChoiceSpace:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
-class WillStrength:
-    """Scalar strength of will, constrained to [0, 1]."""
-
-    sigma: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "sigma", _unit_interval(self.sigma, "will strength"))
-
-
 def _unit_interval(value, what: str) -> float:
     """``value`` as a float in [0, 1]; anything else is a ValueError naming ``what``."""
     if not 0.0 <= float(value) <= 1.0:  # False for NaN as well
         raise ValueError(f"{what} must lie in [0, 1], got {value!r}")
     return float(value)
-
-
-def _as_sigma(will: WillStrength | float) -> float:
-    return will.sigma if isinstance(will, WillStrength) else _unit_interval(float(will), "will strength")
 
 
 def _check_dims(a: ProbabilityVector, b: ProbabilityVector, what: str = "vectors"):
@@ -157,7 +143,7 @@ def uniform_distribution(n: int) -> ProbabilityVector:
 def exercise_will(
     nature: ProbabilityVector,
     understanding: ProbabilityVector,
-    will: WillStrength | float,
+    will: float,
 ) -> ProbabilityVector:
     """Blend baseline and guidance: p'_j = sigma*u_j + (1-sigma)*p_j.
 
@@ -165,7 +151,8 @@ def exercise_will(
     equals ``understanding`` exactly (the float arithmetic preserves this).
     """
     _check_dims(nature, understanding, "nature and understanding")
-    return ProbabilityVector(tuple(_blend_grid(nature, understanding, [_as_sigma(will)])[0].tolist()))
+    sigma = _unit_interval(will, "will strength")
+    return ProbabilityVector(tuple(_blend_grid(nature, understanding, [sigma])[0].tolist()))
 
 
 def _blend_grid(nature: ProbabilityVector, understanding: ProbabilityVector, sigmas) -> np.ndarray:
@@ -199,7 +186,7 @@ def _entropy(weights) -> float:
 def entropy_gradient(
     nature: ProbabilityVector,
     understanding: ProbabilityVector,
-    will: WillStrength | float,
+    will: float,
 ) -> float:
     """d/dsigma of unpredictability(exercise_will(...)), in bits per unit sigma.
 
@@ -243,7 +230,7 @@ def _gradient(nature, understanding, blended) -> float:
 def classify_regime(
     nature: ProbabilityVector,
     understanding: ProbabilityVector,
-    will: WillStrength | float,
+    will: float,
 ) -> str:
     """Sign of dH/dsigma as a three-way label.
 

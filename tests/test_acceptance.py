@@ -79,7 +79,7 @@ def test_criterion_2_saint_predictability():
 def test_criterion_3_conscientious_criminal_randomness():
     with criterion(3, "conscientious criminal entropy in [0.99, 1.0] bits at sigma=0.5"):
         cc = archetype("conscientious_criminal")
-        assert cc.will.sigma == 0.5
+        assert cc.will == 0.5
         xi = agent_unpredictability(cc)
         assert 0.99 <= xi <= 1.0
 

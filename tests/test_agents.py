@@ -22,7 +22,6 @@ from funwill.agents import (
 from funwill.detect import chi_squared_test, TrialCounts
 from funwill.distributions import (
     ChoiceSpace,
-    WillStrength,
     exercise_will,
     make_distribution,
     unpredictability,
@@ -35,26 +34,26 @@ class TestArchetypes:
         saint = archetype("saint")
         assert saint.space.labels == ("good", "evil")
         assert saint.understanding.weights == (1.0, 0.0)
-        assert saint.will.sigma == 0.99
+        assert saint.will == 0.99
         assert saint.effective.weights == pytest.approx((0.995, 0.005), abs=1e-12)
         assert agent_unpredictability(saint) == pytest.approx(0.04541469233379414, abs=1e-12)
 
     def test_conscientious_criminal_profile(self):
         cc = archetype("conscientious_criminal")
-        assert cc.will.sigma == 0.5
+        assert cc.will == 0.5
         assert cc.effective.weights == pytest.approx((0.5005, 0.4995), abs=1e-12)
         assert agent_unpredictability(cc) == pytest.approx(0.9999992786523593, abs=1e-12)
 
     def test_hardcore_criminal_profile(self):
         hc = archetype("hardcore_criminal")
-        assert hc.will.sigma == 0.01
+        assert hc.will == 0.01
         assert hc.effective.weights == pytest.approx((0.01099, 0.98901), abs=1e-12)
         assert agent_unpredictability(hc) == pytest.approx(0.0872870093327654, abs=1e-12)
 
     def test_particle_takes_caller_nature(self):
         p = make_distribution([0.3, 0.7])
         particle = archetype("particle", nature=p)
-        assert particle.will.sigma == 0.0
+        assert particle.will == 0.0
         assert particle.understanding == p
         assert particle.effective.weights == p.weights
         assert particle.space.labels == ("0", "1")
@@ -77,7 +76,7 @@ class TestArchetypes:
                 space=ChoiceSpace(("a", "b", "c")),
                 nature=make_distribution([0.5, 0.5]),
                 understanding=make_distribution([1.0, 0.0]),
-                will=WillStrength(0.5),
+                will=0.5,
             )
 
 
@@ -95,14 +94,14 @@ class TestPredictabilityVersusWill:
 
     def test_randomness_coexists_with_nonzero_will(self):
         cc = archetype("conscientious_criminal")
-        assert cc.will.sigma == 0.5 > 0.0
+        assert cc.will == 0.5 > 0.0
         assert agent_unpredictability(cc) > 0.99
 
     def test_entropy_does_not_determine_will(self):
         saint, hc = archetype("saint"), archetype("hardcore_criminal")
         assert agent_unpredictability(saint) < 0.1
         assert agent_unpredictability(hc) < 0.1
-        assert abs(saint.will.sigma - hc.will.sigma) == pytest.approx(0.98)
+        assert abs(saint.will - hc.will) == pytest.approx(0.98)
 
     def test_particle_uniform_is_maximally_random(self):
         particle = archetype("particle", nature=make_distribution([0.5, 0.5]))
@@ -134,7 +133,7 @@ class TestChoose:
             space=ChoiceSpace(("a", "b", "c")),
             nature=make_distribution([0.2, 0.3, 0.5]),
             understanding=make_distribution([0.6, 0.4, 0.0]),
-            will=WillStrength(0.35),
+            will=0.35,
             name="custom",
         )
         counts = {"a": 0, "b": 0, "c": 0}

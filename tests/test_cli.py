@@ -443,6 +443,16 @@ class TestSweepEquivalence:
                "sigma": sigma, "trials": 3, "seed": 1, "out": str(tmp_path / "p.csv")}
         assert main(["collapse", "--config", write_cfg(tmp_path, doc), "--quiet"]) == code
 
+    @pytest.mark.parametrize("sigma, code, logged", [
+        (0.5, 3, "is unreachable"),  # the only row's measurement is unreachable
+        ({"start": 0.0, "stop": 1.0, "steps": 3}, 2, "config error: trials:"),  # row 0 tests first
+    ])
+    def test_row_0_trials_error_comes_before_a_later_model_error(self, tmp_path, caplog, sigma, code, logged):
+        doc = {"labels": ["a", "b", "c"], "nature": [0.5, 0.5, 0.0], "understanding": [0, 0, 1],
+               "sigma": sigma, "trials": 3, "seed": 1, "out": str(tmp_path / "p.csv")}
+        assert main(["collapse", "--config", write_cfg(tmp_path, doc), "--quiet"]) == code
+        assert logged in caplog.text
+
     def test_subnormal_baseline_weight_exit_0(self, tmp_path):
         out = tmp_path / "s.json"
         doc = {"labels": ["a", "b"], "nature": [1.0, 1e-310], "understanding": [0.0, 1.0],

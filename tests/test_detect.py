@@ -13,7 +13,6 @@ from funwill.detect import (
     CONSISTENT,
     CRITICAL_BAND,
     DEVIATION,
-    NoiseLevel,
     TestReport,
     TrialCounts,
     apply_noise,
@@ -178,7 +177,7 @@ class TestApplyNoise:
         assert apply_noise(d, 1.0).weights == (0.5, 0.5)
 
     def test_half_noise_hand_value(self):
-        got = apply_noise(make_distribution([0.6, 0.4]), NoiseLevel(0.5))
+        got = apply_noise(make_distribution([0.6, 0.4]), 0.5)
         assert got.weights == pytest.approx((0.55, 0.45), abs=1e-15)
 
     def test_normalization_preserved(self):
@@ -189,9 +188,13 @@ class TestApplyNoise:
             noisy = apply_noise(d, float(rng.random()))
             assert math.fsum(noisy.weights) == pytest.approx(1.0, abs=1e-12)
 
-    def test_level_validated(self):
-        with pytest.raises(ValueError):
-            NoiseLevel(1.5)
+    def test_level_validated(self, monkeypatch):
+        monkeypatch.setattr(detect, "_hit_rate", lambda *a: pytest.fail("sampled before checking"))
+        for bad in (-0.01, 1.01, float("nan")):
+            with pytest.raises(ValueError, match="noise level"):
+                apply_noise(FAIR, bad)
+            with pytest.raises(ValueError, match="noise level"):
+                detection_power(FAIR, ETHICAL, 0.5, n=100, alpha=0.05, reps=100, seed=1, noise=bad)
 
 
 class TestLlnConcentration:

@@ -5,13 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from funwill import detect
+from funwill.agents import AgentProfile
+from funwill.collapse import build_povm
+from funwill.detect import detection_power
 from funwill.distributions import (
     CERTAINTY_INCREASING,
     STATIONARY,
     UNCERTAINTY_INCREASING,
     ChoiceSpace,
     ProbabilityVector,
-    WillStrength,
     _gradient,
     classify_regime,
     entropy_gradient,
@@ -43,6 +46,20 @@ def fd_entropy_gradient(nature, understanding, sigma, h=1e-6):
     hi = unpredictability(exercise_will(nature, understanding, sigma + h))
     lo = unpredictability(exercise_will(nature, understanding, sigma - h))
     return (hi - lo) / (2.0 * h)
+
+
+FAIR = make_distribution([0.5, 0.5])
+ETHICAL = make_distribution([1.0, 0.0])
+
+# Every public entry that takes a will strength, called with sigma = s.
+SIGMA_ENTRIES = {
+    "exercise_will": lambda s: exercise_will(FAIR, ETHICAL, s),
+    "build_povm": lambda s: build_povm(FAIR, ETHICAL, s),
+    "entropy_gradient": lambda s: entropy_gradient(FAIR, ETHICAL, s),
+    "classify_regime": lambda s: classify_regime(FAIR, ETHICAL, s),
+    "detection_power": lambda s: detection_power(FAIR, ETHICAL, s, n=100, alpha=0.05, reps=100, seed=1),
+    "AgentProfile": lambda s: AgentProfile(ChoiceSpace(("good", "evil")), FAIR, ETHICAL, will=s),
+}
 
 
 class TestConstruction:
@@ -82,12 +99,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ChoiceSpace(("a", "a"))
 
-    def test_will_strength_range(self):
-        assert WillStrength(0.0).sigma == 0.0
-        assert WillStrength(1.0).sigma == 1.0
-        for bad in (-0.01, 1.01, float("nan")):
-            with pytest.raises(ValueError):
-                WillStrength(bad)
+    @pytest.mark.parametrize("bad", [-0.01, 1.01, float("nan")])
+    @pytest.mark.parametrize("entry", list(SIGMA_ENTRIES))
+    def test_will_strength_range(self, monkeypatch, entry, bad):
+        monkeypatch.setattr(detect, "_hit_rate", lambda *a: pytest.fail("sampled before checking"))
+        with pytest.raises(ValueError, match="will strength"):
+            SIGMA_ENTRIES[entry](bad)
 
 
 class TestExerciseWill:
