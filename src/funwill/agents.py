@@ -25,8 +25,9 @@ from itertools import accumulate
 import numpy as np
 
 from .collapse import _pick
-from .distributions import ChoiceSpace, ProbabilityVector, _unit_interval, exercise_will, unpredictability
-from .errors import DimensionMismatch
+from .distributions import (
+    ChoiceSpace, ProbabilityVector, _check_dims, _unit_interval, exercise_will, unpredictability,
+)
 
 _MORAL_SPACE = ChoiceSpace(("good", "evil"))
 _ETHICAL_GUIDANCE = ProbabilityVector((1.0, 0.0))
@@ -53,11 +54,8 @@ class AgentProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "will", _unit_interval(self.will, "will strength"))
-        if not (self.space.dimension == self.nature.dimension == self.understanding.dimension):
-            raise DimensionMismatch(
-                f"space/nature/understanding dimensions differ: "
-                f"{self.space.dimension}/{self.nature.dimension}/{self.understanding.dimension}"
-            )
+        _check_dims(self.space.labels, self.nature, "space and nature")
+        _check_dims(self.nature, self.understanding, "nature and understanding")
 
     @cached_property
     def effective(self) -> ProbabilityVector:

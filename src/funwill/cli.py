@@ -40,6 +40,7 @@ import numpy as np
 from . import agents
 from .collapse import _realized_rows
 from .detect import (
+    MIN_POWER_REPS,
     _power_curve,
     chebyshev_bound,
     lln_concentration,
@@ -50,8 +51,12 @@ from .distributions import (
     ChoiceSpace,
     ProbabilityVector,
     _blend_weights,
+    _count,
     _entropy,
+    _epsilon,
     _gradient,
+    _level,
+    _number,
     _regime,
     _unit_interval,
     make_distribution,
@@ -76,33 +81,11 @@ MAX_SIGMA_STEPS = 10**6  # the longest sigma sweep: its grid and table are held 
 # Config schema
 # ---------------------------------------------------------------------------
 
-def _number(value) -> float:
-    """A finite JSON number; ``bool`` is an ``int`` subclass but not a number."""
-    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-    if isinstance(value, bool) or not finite:
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return float(value)
-
-
-def _integer(value, least: int = 1) -> int:
-    """A JSON integer of at least ``least``; ``bool`` is not a count."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ValueError(f"expected an integer >= {least}, got {value!r}")
-    return value
-
-
-def _trials(value) -> int:
-    """A trial count; numpy's multinomial takes at most 2**63 - 1, a C long."""
-    if _integer(value) > 2**63 - 1:
-        raise ValueError(f"expected at most 2**63 - 1 trials, got {value}")
-    return value
-
-
-def _array(value, item) -> tuple:
-    """A non-empty JSON array, each entry through ``item``."""
+def _array(value, item, *args) -> tuple:
+    """A non-empty JSON array, each entry through ``item(entry, *args)``."""
     if not isinstance(value, list) or not value:
         raise ValueError(f"expected a non-empty array, got {value!r}")
-    return tuple(map(item, value))
+    return tuple(item(entry, *args) for entry in value)
 
 
 def _label(value) -> str:
@@ -112,37 +95,22 @@ def _label(value) -> str:
 
 
 def _vector(value) -> ProbabilityVector:
-    return make_distribution(_array(value, _number), normalize=False)
+    return make_distribution(_array(value, _number, "weight"))
 
 
 def _sigma(spec):
     """A will strength in [0, 1] or a ``{start, stop, steps}`` sweep, kept as given."""
     if not isinstance(spec, dict):
-        _unit_interval(_number(spec), "will strength")
+        _unit_interval(spec, "will strength")
         return spec
     if set(spec) != {"start", "stop", "steps"}:
         raise ValueError(f"a sweep takes exactly start, stop and steps, got {sorted(spec)}")
-    if _integer(spec["steps"]) > MAX_SIGMA_STEPS:
-        raise ValueError(f"a sweep takes at most {MAX_SIGMA_STEPS} steps, got {spec['steps']}")
-    if not 0.0 <= _number(spec["start"]) <= _number(spec["stop"]) <= 1.0:
+    _count(spec["steps"], "sweep steps", most=MAX_SIGMA_STEPS)
+    if not 0.0 <= _number(spec["start"], "sweep start") <= _number(spec["stop"], "sweep stop") <= 1.0:
         raise ValueError(f"need 0 <= start <= stop <= 1, got {spec}")
     if spec["steps"] == 1 and spec["start"] != spec["stop"]:
         raise ValueError(f"a one-step sweep needs start == stop, got {spec}")
     return spec
-
-
-def _alpha(value) -> float:
-    alpha = _number(value)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"must lie in (0, 1), got {alpha}")
-    return alpha
-
-
-def _positive(value) -> float:
-    number = _number(value)
-    if number <= 0.0:
-        raise ValueError(f"must be positive, got {number}")
-    return number
 
 
 def _path(value) -> str:
@@ -182,16 +150,18 @@ class ExperimentConfig:
     nature: ProbabilityVector | None = _key(_vector, per_outcome=True)
     understanding: ProbabilityVector | None = _key(_vector, per_outcome=True)
     sigma: float | dict | None = _key(_sigma)
-    trials: int | None = _key(_trials)
-    alpha: float = _key(_alpha, default=0.05)
-    noise: float = _key(lambda v: _unit_interval(_number(v), "noise level"), default=0.0)
-    reps: int | None = _key(_integer)
-    seed: int | None = _key(lambda v: validate_seed(_integer(v, least=0)))
+    trials: int | None = _key(lambda v: _count(v, "trial count"))
+    alpha: float = _key(_level, default=0.05)
+    noise: float = _key(lambda v: _unit_interval(v, "noise level"), default=0.0)
+    reps: int | None = _key(lambda v: _count(v, "replication count"))
+    seed: int | None = _key(validate_seed)
     out: str | None = _key(_path, echo="none")
     format: str = _key(_format, default="csv", echo="none")
-    payoff: tuple[float, ...] | None = _key(lambda v: _array(v, _number), echo="lln", per_outcome=True)
-    epsilon: float | None = _key(_positive, echo="lln")
-    n_schedule: tuple[int, ...] | None = _key(lambda v: _array(v, _trials), echo="lln")
+    payoff: tuple[float, ...] | None = _key(
+        lambda v: _array(v, _number, "payoff entry"), echo="lln", per_outcome=True
+    )
+    epsilon: float | None = _key(_epsilon, echo="lln")
+    n_schedule: tuple[int, ...] | None = _key(lambda v: _array(v, _count, "trial count"), echo="lln")
 
     @property
     def sigmas(self) -> tuple[float, ...]:
@@ -373,8 +343,8 @@ def run_power(config: ExperimentConfig) -> ResultRecord:
     nature, understanding, _, trials, reps, seed, _ = config.require(
         "nature", "understanding", "labels", "trials", "reps", "seed", "sigma"
     )
-    if reps < 100:
-        raise ConfigInvalid("reps", "power estimates need at least 100 replications")
+    if reps < MIN_POWER_REPS:
+        raise ConfigInvalid("reps", f"power estimates need at least {MIN_POWER_REPS} replications")
     sigmas = config.sigmas
     cells = _analytics(nature, understanding, sigmas)
     seeds = [derive_seed(seed, i) for i in range(len(sigmas))]

@@ -35,8 +35,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .distributions import ProbabilityVector, _blend_grid, _check_dims, _unit_interval
-from .errors import DimensionMismatch, IncompletePovm, NotNormalized, UnreachableGuidance
+from .distributions import ProbabilityVector, _blend_grid, _check_dims, _count, _nonnegative, _unit_interval
+from .errors import IncompletePovm, NotNormalized, UnreachableGuidance
 
 # Completeness residual above this rejects the povm/state pairing.
 COMPLETENESS_TOL = 1e-9
@@ -49,12 +49,7 @@ class AmplitudeState:
     amplitudes: tuple[float, ...]
 
     def __post_init__(self):
-        amps = tuple(float(a) for a in self.amplitudes)
-        if len(amps) == 0:
-            raise ValueError("a state needs at least one basis vector")
-        for a in amps:
-            if not math.isfinite(a) or a < 0.0:
-                raise ValueError(f"amplitude {a!r} is not a finite nonnegative number")
+        amps = tuple(_nonnegative(self.amplitudes, "amplitude"))
         norm_sq = math.fsum(a * a for a in amps)
         if abs(norm_sq - 1.0) > 1e-12:
             raise NotNormalized(f"squared amplitudes sum to {norm_sq!r}, not 1")
@@ -72,8 +67,7 @@ class AmplitudeState:
         Memoized: each basis state is validated once and then shared, which
         is safe because the class is frozen.
         """
-        if not 0 <= index < dimension:
-            raise ValueError(f"basis index {index} out of range for dimension {dimension}")
+        _count(index, "basis index", least=0, most=dimension - 1)
         return cls(tuple(1.0 if j == index else 0.0 for j in range(dimension)))
 
 
@@ -88,12 +82,7 @@ class PovmSet:
     coefficients: tuple[float, ...]
 
     def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coefficients)
-        if len(coeffs) == 0:
-            raise ValueError("a measurement set needs at least one operator")
-        for c in coeffs:
-            if not math.isfinite(c) or c < 0.0:
-                raise ValueError(f"coefficient {c!r} is not a finite nonnegative number")
+        coeffs = tuple(_nonnegative(self.coefficients, "coefficient"))
         object.__setattr__(self, "coefficients", coeffs)
 
     @property
@@ -109,8 +98,7 @@ class CollapseOutcome:
     dimension: int
 
     def __post_init__(self):
-        if not 0 <= self.index < self.dimension:
-            raise ValueError(f"outcome index {self.index} out of range for dimension {self.dimension}")
+        _count(self.index, "outcome index", least=0, most=self.dimension - 1)
 
     @property
     def post_state(self) -> AmplitudeState:
@@ -189,8 +177,7 @@ def check_completeness(povm: PovmSet, state: AmplitudeState) -> float:
 
 def _terms(coefficients, amplitudes) -> tuple[list[float], float]:
     """The completeness terms (c_j a_j)^2 of plain floats and their fsum; raises DimensionMismatch."""
-    if len(coefficients) != len(amplitudes):
-        raise DimensionMismatch(f"povm has dimension {len(coefficients)}, state {len(amplitudes)}")
+    _check_dims(coefficients, amplitudes, "povm and state")
     try:
         terms = [(c * a) ** 2 for c, a in zip(coefficients, amplitudes)]
         return terms, math.fsum(terms)
@@ -273,7 +260,6 @@ def collapse_many(
     ``collapse`` calls on the same generator (``Generator.random(size)``
     yields the same doubles as repeated scalar calls).
     """
-    if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 0:
-        raise ValueError(f"size must be a nonnegative integer, got {size!r}")
+    size = _count(size, "size", least=0)
     cdf = np.asarray(_table(povm, state)[1])
-    return np.minimum(np.searchsorted(cdf, rng.random(int(size)), side="right"), len(cdf) - 1)
+    return np.minimum(np.searchsorted(cdf, rng.random(size), side="right"), len(cdf) - 1)

@@ -30,8 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import ProbabilityVector, _blend_weights, _check_dims, _unit_interval
-from .errors import DegenerateNull, DimensionMismatch, InsufficientExpected
+from .distributions import (
+    ProbabilityVector, _blend_weights, _check_dims, _count, _epsilon, _level, _number, _unit_interval,
+)
+from .errors import DegenerateNull, InsufficientExpected
 from .seeding import derive_seed, validate_seed
 from .special import chi_squared_isf, chi_squared_sf
 
@@ -40,6 +42,9 @@ POOL_THRESHOLD = 5.0
 
 # Replications drawn per seeded block by the Monte Carlo estimators.
 BLOCK = 1024
+
+# Fewest replications a detection-power estimate takes.
+MIN_POWER_REPS = 100
 
 # Statistics within this relative distance of the critical value are
 # re-decided through their p-values.  The band covers the error of the
@@ -60,10 +65,8 @@ class TrialCounts:
     seed: int
 
     def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
-        if any(c < 0 for c in counts):
-            raise ValueError(f"counts must be nonnegative, got {counts}")
-        if sum(counts) != self.total or self.total < 1:
+        counts = tuple(_count(c, "count", least=0) for c in self.counts)
+        if sum(counts) != _count(self.total, "total"):
             raise ValueError(f"total {self.total} does not match counts summing to {sum(counts)}")
         object.__setattr__(self, "counts", counts)
 
@@ -83,10 +86,8 @@ class TestReport:
     verdict: str
 
     def __post_init__(self):
-        if not 0.0 <= self.p_value <= 1.0:
-            raise ValueError(f"p-value {self.p_value} outside [0, 1]")
-        if self.dof < 1:
-            raise ValueError(f"dof must be >= 1, got {self.dof}")
+        _unit_interval(self.p_value, "p-value")
+        _count(self.dof, "dof")
         if self.verdict not in (CONSISTENT, DEVIATION):
             raise ValueError(f"verdict must be consistent/deviation, got {self.verdict!r}")
 
@@ -96,8 +97,7 @@ def simulate_trials(dist: ProbabilityVector, n: int, seed: int) -> TrialCounts:
 
     Identical (dist, n, seed) always reproduces identical counts.
     """
-    if n < 1:
-        raise ValueError(f"trial count must be >= 1, got {n}")
+    n = _count(n, "trial count")
     seed = validate_seed(seed)
     counts = np.random.default_rng(seed).multinomial(n, dist.weights)
     return TrialCounts(counts=tuple(counts), total=n, seed=seed)
@@ -164,12 +164,8 @@ def chi_squared_test(
     and the p-value 0).  dof is the number of cells actually tested minus
     one.  Verdict is ``deviation`` iff p-value < alpha.
     """
-    if len(observed.counts) != expected.dimension:
-        raise DimensionMismatch(
-            f"counts have {len(observed.counts)} cells, expected vector {expected.dimension}"
-        )
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"significance level must lie in (0, 1), got {alpha}")
+    _check_dims(observed.counts, expected, "counts and expected vector")
+    alpha = _level(alpha)
     plan = pooling_plan(expected, observed.total)
     ((statistic, p_value, verdict),) = pearson_tests(np.array([observed.counts]), plan, alpha)
     return TestReport(statistic=statistic, p_value=p_value, dof=plan.dof, verdict=verdict)
@@ -296,12 +292,9 @@ def detection_power(
 def _power_curve(nature, understanding, sigmas, seeds, n, alpha, reps, noise) -> list[float]:
     """``detection_power`` at each (sigma, seed) pair, with one null, plan and
     critical value.  Each alternative has the bits of ``apply_noise(exercise_will(...))``."""
-    if reps < 100:
-        raise ValueError(f"need at least 100 replications for a stable estimate, got {reps}")
-    if n < 1:
-        raise ValueError(f"trial count must be >= 1, got {n}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"significance level must lie in (0, 1), got {alpha}")
+    reps = _count(reps, "replication count", least=MIN_POWER_REPS)
+    n = _count(n, "trial count")
+    alpha = _level(alpha)
     lam = _unit_interval(noise, "noise level")
     _check_dims(nature, understanding, "nature and understanding")
     sigmas = [_unit_interval(will, "will strength") for will in sigmas]
@@ -320,9 +313,8 @@ def _scaled_moments(dist: ProbabilityVector, payoff) -> tuple[float, list[float]
     Dividing by a power of two is exact, so finite results keep their bits,
     and the scaled moments are finite for every finite payoff (|v/s| < 2).
     """
-    values = [float(v) for v in payoff]
-    if len(values) != dist.dimension:
-        raise DimensionMismatch(f"payoff has {len(values)} entries, distribution {dist.dimension}")
+    values = [_number(v, "payoff entry") for v in payoff]
+    _check_dims(values, dist, "payoff and distribution")
     # The exponent is one below frexp's so that s stays finite near the largest double.
     s = math.ldexp(1.0, math.frexp(max(map(abs, values)))[1] - 1)
     scaled = [v / s for v in values]
@@ -333,6 +325,7 @@ def _scaled_moments(dist: ProbabilityVector, payoff) -> tuple[float, list[float]
 
 def chebyshev_bound(dist: ProbabilityVector, payoff, epsilon: float, n: int) -> float:
     """Chebyshev cap Var/(n*eps^2) on Pr[|sample mean - mean| > eps]."""
+    epsilon, n = _epsilon(epsilon), _count(n, "trial count")
     s, _, _, var = _scaled_moments(dist, payoff)
     denominator = n * (epsilon / s) * (epsilon / s)
     if denominator > 0.0:
@@ -356,16 +349,11 @@ def lln_concentration(
     exact mean.  Estimates are nonincreasing in n up to Monte Carlo error
     (the weak-law squeeze) and sit below the Chebyshev cap Var/(n*eps^2).
     """
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if reps < 1:
-        raise ValueError(f"need at least one replication, got {reps}")
+    epsilon = _epsilon(epsilon)
+    reps = _count(reps, "replication count")
     s, scaled, mean, _ = _scaled_moments(dist, payoff)
     seed = validate_seed(seed)
-    schedule = [int(n) for n in n_schedule]
-    for n in schedule:
-        if n < 1:
-            raise ValueError(f"trial count must be >= 1, got {n}")
+    schedule = [_count(n, "trial count") for n in n_schedule]
     return [
         (n, _hit_rate(lambda counts: np.abs(counts @ scaled / n - mean) > epsilon / s,
                       n, dist.weights, reps, seed, i))

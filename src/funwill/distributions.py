@@ -17,6 +17,8 @@ convention.  Everything here is a pure function of its inputs.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,18 +54,10 @@ class ProbabilityVector:
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.weights) == 0:
-            raise AllZero("a distribution needs at least one outcome")
-        cleaned = []
-        for w in self.weights:
-            w = float(w)
-            if not math.isfinite(w) or w < 0.0:
-                raise NegativeWeight(f"weight {w!r} is not a finite nonnegative number")
-            if w > 1.0:
-                if w > 1.0 + NORMALIZATION_TOL:
-                    raise NotNormalized(f"weight {w!r} exceeds 1")
-                w = 1.0  # absorb float overshoot from convex arithmetic
-            cleaned.append(w)
+        weights = _nonnegative(self.weights, "weight")
+        if max(weights) > 1.0 + NORMALIZATION_TOL:
+            raise NotNormalized(f"weight {max(weights)!r} exceeds 1")
+        cleaned = [min(w, 1.0) for w in weights]  # absorb float overshoot from convex arithmetic
         total = math.fsum(cleaned)
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise NotNormalized(f"weights sum to {total!r}, not 1")
@@ -99,14 +93,60 @@ class ChoiceSpace:
         return len(self.labels)
 
 
+def _number(value, what: str) -> float:
+    """``value`` as a float if it is a finite real number other than a bool;
+    anything else is a ValueError naming ``what``."""
+    real = type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+    if not (real and abs(value) <= sys.float_info.max):  # False for NaN as well
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _count(value, what: str, least: int = 1, most: int = 2**63 - 1) -> int:
+    """``value`` as an int if it is an integer (numpy's too) other than a bool in [least, most],
+    by default a count numpy's multinomial takes; anything else is a ValueError naming ``what``."""
+    integral = type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
+    if not (integral and least <= value <= most):
+        raise ValueError(f"{what} must be an integer in [{least}, {most}], got {value!r}")
+    return int(value)
+
+
 def _unit_interval(value, what: str) -> float:
     """``value`` as a float in [0, 1]; anything else is a ValueError naming ``what``."""
-    if not 0.0 <= float(value) <= 1.0:  # False for NaN as well
+    if not 0.0 <= _number(value, what) <= 1.0:
         raise ValueError(f"{what} must lie in [0, 1], got {value!r}")
     return float(value)
 
 
-def _check_dims(a: ProbabilityVector, b: ProbabilityVector, what: str = "vectors"):
+def _level(alpha) -> float:
+    """A significance level: a float in the open interval (0, 1)."""
+    if not 0.0 < _number(alpha, "significance level") < 1.0:
+        raise ValueError(f"significance level must lie in (0, 1), got {alpha!r}")
+    return float(alpha)
+
+
+def _epsilon(value) -> float:
+    """A deviation threshold: a positive finite float."""
+    if not _number(value, "epsilon") > 0.0:
+        raise ValueError(f"epsilon must be positive, got {value!r}")
+    return float(value)
+
+
+def _nonnegative(values, what: str) -> list[float]:
+    """``values`` as a list of finite nonnegative floats: AllZero when there are
+    none, and NegativeWeight naming ``what`` when an entry is anything else."""
+    try:
+        floats = [_number(value, what) for value in values]
+    except ValueError as err:
+        raise NegativeWeight(str(err)) from None
+    if not floats:
+        raise AllZero(f"need at least one {what}")
+    if min(floats) < 0.0:
+        raise NegativeWeight(f"{what} must be nonnegative, got {min(floats)!r}")
+    return floats
+
+
+def _check_dims(a, b, what: str = "vectors"):
     if len(a) != len(b):
         raise DimensionMismatch(f"{what} have dimensions {len(a)} and {len(b)}")
 
@@ -119,12 +159,7 @@ def make_distribution(weights, normalize: bool = False) -> ProbabilityVector:
 
     Raises NegativeWeight, AllZero, or NotNormalized.
     """
-    ws = [float(w) for w in weights]
-    if len(ws) == 0:
-        raise AllZero("no weights supplied")
-    for w in ws:
-        if not math.isfinite(w) or w < 0.0:
-            raise NegativeWeight(f"weight {w!r} is not a finite nonnegative number")
+    ws = _nonnegative(weights, "weight")
     total = math.fsum(ws)
     if total == 0.0:
         raise AllZero("weights sum to zero")
@@ -135,8 +170,7 @@ def make_distribution(weights, normalize: bool = False) -> ProbabilityVector:
 
 def uniform_distribution(n: int) -> ProbabilityVector:
     """The uniform vector over n outcomes."""
-    if n < 1:
-        raise AllZero("a distribution needs at least one outcome")
+    n = _count(n, "outcome count")
     return ProbabilityVector((1.0 / n,) * n)
 
 

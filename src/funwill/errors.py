@@ -10,7 +10,7 @@ class DimensionMismatch(ValueError):
 
 
 class NegativeWeight(ValueError):
-    """A probability weight is negative (or not a finite number)."""
+    """A weight, amplitude or coefficient is negative (or not a finite number)."""
 
 
 class NotNormalized(ValueError):
@@ -18,7 +18,7 @@ class NotNormalized(ValueError):
 
 
 class AllZero(ValueError):
-    """Every supplied weight is zero, so no distribution can be formed."""
+    """No weight was supplied, or every supplied weight is zero."""
 
 
 class DivergentGradient(ValueError):

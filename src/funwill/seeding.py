@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .distributions import _count
+
 MAX_SEED = 2**64 - 1
 
 
 def validate_seed(seed: int) -> int:
-    seed = int(seed)
-    if not 0 <= seed <= MAX_SEED:
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    return seed
+    return _count(seed, "seed", least=0, most=MAX_SEED)
 
 
 def derive_seed(seed: int, *path: int) -> int:

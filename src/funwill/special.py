@@ -88,7 +88,7 @@ def chi_squared_sf(statistic: float, dof: int) -> float:
     """
     if dof < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {dof}")
-    if statistic < 0.0:
+    if not statistic >= 0.0:  # True for NaN as well
         raise ValueError(f"chi-squared statistic must be nonnegative, got {statistic}")
     if math.isinf(statistic):
         return 0.0

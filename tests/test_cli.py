@@ -498,11 +498,15 @@ class TestRunPower:
             powers[lam] = run_power(cfg).rows[0]["power"]
         assert powers[0.5] <= powers[0.0]
 
-    def test_reps_floor_maps_to_config_error(self):
-        cfg = build_config({**SAINT_CFG, "reps": 50})
-        with pytest.raises(ConfigInvalid) as exc:
-            run_power(cfg)
-        assert exc.value.field == "reps"
+    def test_reps_floor_maps_to_config_error(self, tmp_path, caplog):
+        for reps in (50, detect.MIN_POWER_REPS - 1):
+            cfg = build_config({**SAINT_CFG, "reps": reps})
+            with pytest.raises(ConfigInvalid) as exc:
+                run_power(cfg)
+            assert exc.value.field == "reps"
+        doc = {**SAINT_CFG, "reps": detect.MIN_POWER_REPS - 1, "out": str(tmp_path / "p.csv")}
+        assert main(["power", "--config", write_cfg(tmp_path, doc), "--quiet"]) == 2
+        assert f"config error: reps: power estimates need at least {detect.MIN_POWER_REPS}" in caplog.text
 
     @pytest.mark.parametrize("doc", [GOLDEN_CONFIGS["power"], GOLDEN_CONFIGS["power_edges"], FULL_NOISE_CFG],
                              ids=["power", "power_edges", "full_noise"])

@@ -61,8 +61,9 @@ class TestSimulateTrials:
         assert math.fsum(t.frequencies().weights) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_bad_n(self):
-        with pytest.raises(ValueError):
-            simulate_trials(FAIR, 0, 1)
+        for n in (0, 10.7, True, "10", math.inf, math.nan):
+            with pytest.raises(ValueError, match="trial count"):
+                simulate_trials(FAIR, n, 1)
 
 
 class TestChiSquared:
@@ -112,8 +113,9 @@ class TestChiSquared:
         assert report.verdict == DEVIATION
 
     def test_alpha_validated(self):
-        with pytest.raises(ValueError):
-            chi_squared_test(TrialCounts((500, 500), 1000, 0), FAIR, alpha=0.0)
+        for alpha in (0.0, 1.0, "0.05", None, True, math.inf, math.nan):
+            with pytest.raises(ValueError, match="significance level"):
+                chi_squared_test(TrialCounts((500, 500), 1000, 0), FAIR, alpha=alpha)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -162,9 +164,11 @@ class TestDetectionPower:
         ]
         assert powers[0] > powers[1] > powers[2], powers
 
-    def test_reps_floor(self):
-        with pytest.raises(ValueError):
-            detection_power(FAIR, ETHICAL, 0.5, n=100, alpha=0.05, reps=50, seed=0)
+    def test_reps_floor(self, monkeypatch):
+        monkeypatch.setattr(detect, "_hit_rate", lambda *a: pytest.fail("sampled before checking"))
+        for reps in (50, detect.MIN_POWER_REPS - 1, 100.5, True, "100", math.inf, math.nan):
+            with pytest.raises(ValueError, match="replication count"):
+                detection_power(FAIR, ETHICAL, 0.5, n=100, alpha=0.05, reps=reps, seed=0)
 
 
 class TestApplyNoise:
@@ -190,7 +194,7 @@ class TestApplyNoise:
 
     def test_level_validated(self, monkeypatch):
         monkeypatch.setattr(detect, "_hit_rate", lambda *a: pytest.fail("sampled before checking"))
-        for bad in (-0.01, 1.01, float("nan")):
+        for bad in (-0.01, 1.01, float("nan"), "0.5", True, None):
             with pytest.raises(ValueError, match="noise level"):
                 apply_noise(FAIR, bad)
             with pytest.raises(ValueError, match="noise level"):
@@ -245,18 +249,43 @@ class TestLlnConcentration:
         _, var = payoff_moments(FAIR, [1.3e154, 1.4e154])
         assert var == pytest.approx(0.25 * 0.1e154**2, rel=1e-9)
 
-    def test_inputs_validated(self):
-        with pytest.raises(ValueError):
-            lln_concentration(FAIR, [1.0, 0.0], 0.0, [100], reps=100, seed=0)
+    def test_inputs_validated(self, monkeypatch):
+        # Each bad input raises a ValueError naming it, from both entries, before any draw.
+        monkeypatch.setattr(detect, "_hit_rate", lambda *a: pytest.fail("sampled before checking"))
+        cases = [
+            *[(dict(epsilon=e), "epsilon") for e in (0.0, -0.1, "0.1", True, None, math.inf, math.nan)],
+            *[(dict(n=n), "trial count") for n in (0, 10.7, 10.9, True, "10", math.inf, math.nan)],
+            *[(dict(payoff=p), "payoff entry") for p in ([math.inf, 0.0], [math.nan, 0.0], ["1", 0], [True, 0])],
+        ]
+        for bad, name in cases:
+            args = {"payoff": [1.0, 0.0], "epsilon": 0.1, "n": 10, **bad}
+            with pytest.raises(ValueError, match=name):
+                chebyshev_bound(FAIR, args["payoff"], args["epsilon"], args["n"])
+            with pytest.raises(ValueError, match=name):
+                lln_concentration(FAIR, args["payoff"], args["epsilon"], [args["n"]], reps=100, seed=0)
+        for bad, name in [
+            *[(dict(reps=r), "replication count") for r in (0, 10.7, True, "100", math.inf, math.nan)],
+            *[(dict(seed=s), "seed") for s in (1.9, "1", True, -1, 2**64, math.nan)],
+        ]:
+            with pytest.raises(ValueError, match=name):
+                lln_concentration(FAIR, [1.0, 0.0], 0.1, [10], **{"reps": 100, "seed": 1, **bad})
         with pytest.raises(DimensionMismatch):
             lln_concentration(FAIR, [1.0, 0.0, 2.0], 0.1, [100], reps=100, seed=0)
 
 
 def test_trial_counts_validation():
-    with pytest.raises(ValueError):
-        TrialCounts((5, -1), 4, 0)
-    with pytest.raises(ValueError):
-        TrialCounts((5, 5), 11, 0)
+    for counts, total, name in [
+        ((5, -1), 4, "count"),
+        ((1.5, 2.5), 3, "count"),
+        ((True, 0), 1, "count"),
+        (("5", 5), 10, "count"),
+        ((5, 5), 11, "total"),
+        ((1, 0), True, "total"),
+        ((5, 5), 10.0, "total"),
+        ((0, 0), 0, "total"),
+    ]:
+        with pytest.raises(ValueError, match=name):
+            TrialCounts(counts, total, 0)
 
 
 def per_row_verdicts(counts, null, alpha):

@@ -99,7 +99,7 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ChoiceSpace(("a", "a"))
 
-    @pytest.mark.parametrize("bad", [-0.01, 1.01, float("nan")])
+    @pytest.mark.parametrize("bad", [-0.01, 1.01, float("nan"), "0.5", True, None])
     @pytest.mark.parametrize("entry", list(SIGMA_ENTRIES))
     def test_will_strength_range(self, monkeypatch, entry, bad):
         monkeypatch.setattr(detect, "_hit_rate", lambda *a: pytest.fail("sampled before checking"))

@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from funwill.cli import ResultRecord, render_json
+from funwill.cli import ResultRecord, build_config, render_json
 from funwill.collapse import (
     COMPLETENESS_TOL,
     build_povm,
@@ -33,9 +33,11 @@ from funwill.detect import (
     deviation_verdicts,
     lln_concentration,
     pooling_plan,
+    simulate_trials,
 )
 from funwill.distributions import ProbabilityVector, _blend_weights, exercise_will, make_distribution
-from funwill.errors import InsufficientExpected
+from funwill.errors import ConfigInvalid, InsufficientExpected
+from funwill.seeding import validate_seed
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -204,3 +206,45 @@ def records(draw):
 @given(records())
 def test_json_emitter_equals_json_dumps_of_the_rounded_document(record):
     assert render_json(record) == oracle_json(record)
+
+
+FAIR = make_distribution([0.5, 0.5])
+
+# Config key -> the library call that takes the same input, as a function of it.
+LIBRARY_TWINS = {
+    "alpha": lambda v: chi_squared_test(TrialCounts((500, 500), 1000, 0), FAIR, v),
+    "trials": lambda v: simulate_trials(FAIR, v, 1),
+    "seed": validate_seed,
+    "noise": lambda v: apply_noise(FAIR, v),
+    "sigma": lambda v: exercise_will(FAIR, make_distribution([1.0, 0.0]), v),
+    "epsilon": lambda v: lln_concentration(FAIR, [1.0, 0.0], v, [10], 1, 1),
+}
+
+json_scalars = st.one_of(
+    st.integers(), st.integers(-2, 2**64), st.floats(), st.booleans(), st.none(),
+    st.integers().map(str), st.floats(allow_nan=False).map(str),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(LIBRARY_TWINS)), json_scalars)
+@example("trials", 2**63 - 1)
+@example("trials", 2**63)
+@example("seed", 2**64 - 1)
+@example("seed", 2**64)
+@example("epsilon", 5e-324)
+@example("alpha", 10**400)
+def test_config_and_library_refuse_the_same_values(key, value):
+    """A config key and its library twin share one rule: one refuses a value exactly when the other does."""
+    try:
+        build_config({key: value})
+        config_refuses = False
+    except ConfigInvalid as err:
+        assert err.field == key
+        config_refuses = True
+    try:
+        LIBRARY_TWINS[key](value)
+        library_refuses = False
+    except ValueError:
+        library_refuses = True
+    assert config_refuses == library_refuses, (key, value)

@@ -91,6 +91,8 @@ def test_monotone_in_statistic():
 def test_invalid_arguments():
     with pytest.raises(ValueError):
         chi_squared_sf(-1.0, 2)
+    with pytest.raises(ValueError, match="nonnegative"):  # not 500 continued-fraction steps
+        chi_squared_sf(math.nan, 2)
     with pytest.raises(ValueError):
         chi_squared_sf(1.0, 0)
     with pytest.raises(ValueError):
