@@ -88,12 +88,6 @@ def _array(value, item, *args) -> tuple:
     return tuple(item(entry, *args) for entry in value)
 
 
-def _label(value) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"expected an array of strings, got {value!r}")
-    return value
-
-
 def _vector(value) -> ProbabilityVector:
     return make_distribution(_array(value, _number, "weight"))
 
@@ -145,7 +139,7 @@ class ExperimentConfig:
     """
 
     labels: tuple[str, ...] | None = _key(
-        lambda v: ChoiceSpace(_array(v, _label)).labels, per_outcome=True
+        lambda v: ChoiceSpace(_array(v, lambda label: label)).labels, per_outcome=True
     )
     nature: ProbabilityVector | None = _key(_vector, per_outcome=True)
     understanding: ProbabilityVector | None = _key(_vector, per_outcome=True)

@@ -47,9 +47,9 @@ BLOCK = 1024
 MIN_POWER_REPS = 100
 
 # Statistics within this relative distance of the critical value are
-# re-decided through their p-values.  The band covers the error of the
-# computed critical value, so batched verdicts equal per-row
-# ``p_value < alpha`` (see critical_band for the one case where it widens).
+# re-decided through their p-values.  critical_band checks that the band
+# brackets alpha, so batched verdicts equal per-row ``p_value < alpha``
+# (where it does not, the band widens to every row).
 CRITICAL_BAND = 1e-6
 
 CONSISTENT = "consistent"
@@ -69,6 +69,7 @@ class TrialCounts:
         if sum(counts) != _count(self.total, "total"):
             raise ValueError(f"total {self.total} does not match counts summing to {sum(counts)}")
         object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "seed", validate_seed(self.seed))
 
     def frequencies(self) -> ProbabilityVector:
         return ProbabilityVector(tuple(c / self.total for c in self.counts))
@@ -205,17 +206,16 @@ def critical_band(alpha: float, dof: int) -> tuple[float, float]:
     """Critical value of a level-alpha test and the relative band around it.
 
     Statistics farther than the band from the critical value are decided
-    by comparison alone.  Below alpha = 1/2 the in-house tail resolves
-    CRITICAL_BAND there.  Above it, near alpha = 1 where sf = 1 - P is flat
-    to rounding, the band edges are checked, and if they do not bracket
-    alpha the band is infinite: every row is decided by chi_squared_test.
+    by comparison alone.  The tail at both band edges is checked for every
+    alpha; if they do not bracket alpha (near alpha = 1 the tail is flat,
+    doubles just below 1 being ~1e-16 apart), the band is infinite: every
+    row is decided by chi_squared_test.
     """
     critical = chi_squared_isf(alpha, dof)
-    if alpha > 0.5:
-        below = chi_squared_sf(critical * (1.0 - CRITICAL_BAND), dof)
-        above = chi_squared_sf(critical * (1.0 + CRITICAL_BAND), dof)
-        if not below >= alpha > above:
-            return critical, math.inf
+    below = chi_squared_sf(critical * (1.0 - CRITICAL_BAND), dof)
+    above = chi_squared_sf(critical * (1.0 + CRITICAL_BAND), dof)
+    if not below >= alpha > above:
+        return critical, math.inf
     return critical, CRITICAL_BAND
 
 

@@ -81,7 +81,9 @@ class ChoiceSpace:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        labels = tuple(str(x) for x in self.labels)
+        labels = tuple(self.labels)
+        if not all(isinstance(x, str) for x in labels):
+            raise ValueError(f"labels must be strings, got {labels!r}")
         if len(labels) == 0:
             raise ValueError("a choice space needs at least one outcome")
         if len(set(labels)) != len(labels):

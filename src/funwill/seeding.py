@@ -22,5 +22,5 @@ def validate_seed(seed: int) -> int:
 
 def derive_seed(seed: int, *path: int) -> int:
     """Collapse (seed, *path) into a fresh 64-bit stream seed."""
-    entropy = [validate_seed(seed), *(int(p) for p in path)]
+    entropy = [validate_seed(seed), *(_count(p, "seed path entry", least=0) for p in path)]
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])

@@ -153,6 +153,11 @@ class TestConfigValidation:
         ("payoff", ["1", "0"]),
         ("nature", [True, False]),
         ("nature", ["0.5", "0.5"]),
+        ("nature", 0.5),
+        ("nature", []),
+        ("labels", [None, 1.5]),
+        ("labels", ["a", ["b"]]),
+        ("labels", "ab"),
     ])
     def test_bool_and_non_integer_counts_rejected(self, field, value):
         with pytest.raises(ConfigInvalid) as exc:
@@ -210,6 +215,10 @@ class TestConfigValidation:
         bad.write_bytes(b'{"seed": 1, "labels": ["\xff"]}')
         with pytest.raises(ConfigInvalid):
             load_config(str(bad))
+        bad.write_text("[]")
+        with pytest.raises(ConfigInvalid) as exc:
+            load_config(str(bad))
+        assert exc.value.field == "config"
 
 
 @pytest.mark.parametrize("runner, doc", [
@@ -643,18 +652,24 @@ class TestMain:
         assert main(["collapse", "--config", cfg_path, "--out", b, "--seed", "999", "--quiet"]) == 0
         assert Path(a).read_text() != Path(b).read_text()
 
-    def test_env_seed_fallback(self, tmp_path, monkeypatch):
+    def test_env_seed_fallback(self, tmp_path, caplog, monkeypatch):
         doc = {k: v for k, v in SAINT_CFG.items() if k != "seed"}
         cfg_path = write_cfg(tmp_path, doc)
         out = str(tmp_path / "env.csv")
         monkeypatch.delenv("FUNWILL_SEED", raising=False)
         assert main(["distort", "--config", cfg_path, "--out", out, "--quiet"]) == 2
+        monkeypatch.setenv("FUNWILL_SEED", "abc")
+        assert main(["distort", "--config", cfg_path, "--out", out]) == 2
+        assert "config error: seed: FUNWILL_SEED='abc'" in caplog.text
         monkeypatch.setenv("FUNWILL_SEED", "31")
         assert main(["distort", "--config", cfg_path, "--out", out, "--quiet"]) == 0
 
-    def test_config_error_exit_code(self, tmp_path):
+    def test_config_error_exit_code(self, tmp_path, caplog):
         cfg_path = write_cfg(tmp_path, {**SAINT_CFG, "nature": [0.3, 0.3]})
         assert main(["distort", "--config", cfg_path, "--out", "x.csv", "--quiet"]) == 2
+        cfg_path = write_cfg(tmp_path, {**SAINT_CFG, "labels": [None, 1.5]})
+        assert main(["distort", "--config", cfg_path, "--out", "x.csv"]) == 2
+        assert "config error: labels: labels must be strings" in caplog.text
 
     def test_model_error_exit_code(self, tmp_path):
         doc = {**SAINT_CFG, "nature": [0.0, 1.0], "sigma": 0.5, "out": str(tmp_path / "m.csv")}
@@ -677,6 +692,16 @@ class TestMain:
         assert main(["collapse", "--config", write_cfg(tmp_path, doc), "--quiet"]) == 0
         row = out.read_text().splitlines()[1].split(",")
         assert (row[8], row[9]) == ("0", "deviation")
+
+    def test_twenty_thousand_dof_collapse_exit_0(self, tmp_path):
+        # dof 20,000 with the statistic near dof, the largest tail sum the tests take.
+        out = tmp_path / "u.json"
+        uniform = [1 / 20_001] * 20_001
+        doc = {"labels": [f"o{j}" for j in range(20_001)], "nature": uniform, "understanding": uniform,
+               "sigma": 0.0, "trials": 100_055, "seed": 7, "out": str(out), "format": "json"}
+        assert main(["collapse", "--config", write_cfg(tmp_path, doc), "--quiet"]) == 0
+        [row] = json.loads(out.read_text())["rows"]
+        assert 0.0 <= row["p_value"] <= 1.0
 
     def test_overflowing_pooled_cell_power_exit_0(self, tmp_path):
         # Every replication hits the pooled ~2e-307 cell, so each statistic

@@ -286,6 +286,9 @@ def test_trial_counts_validation():
     ]:
         with pytest.raises(ValueError, match=name):
             TrialCounts(counts, total, 0)
+    for seed in ("x", -1, 2**64, True, 1.0):
+        with pytest.raises(ValueError, match="seed"):
+            TrialCounts((1, 1), 2, seed)
 
 
 def per_row_verdicts(counts, null, alpha):
@@ -355,10 +358,10 @@ class TestBatchedVerdicts:
 
     def test_alpha_next_to_one_falls_back_to_exact_tests(self):
         # (500, 500) against a null 2e-13 off one half has a statistic near
-        # 1.6e-22 and a p-value near 1 - 1e-11, where sf = 1 - P is flat to
-        # rounding over more than the 1e-6 band: the critical value alone
-        # misjudges that row at alpha = p_value, so every row must go to
-        # chi_squared_test.
+        # 1.6e-22 and a p-value near 1 - 1e-11, where the tail is flat to
+        # rounding (doubles below 1 are ~1e-16 apart) over more than the 1e-6
+        # band: the critical value alone misjudges that row at alpha =
+        # p_value, so every row must go to chi_squared_test.
         null = make_distribution([0.5 + 2e-13, 0.5 - 2e-13])
         counts = np.array([[500, 500], [499, 501], [500, 500], [501, 499]])
         plan = pooling_plan(null, 1000)
@@ -447,6 +450,12 @@ class TestBlockStreams:
                 counts = rng.multinomial(n, FAIR.weights, size=min(BLOCK, reps - start))
                 hits += sum(abs(c[0] / n - 0.5) > 0.02 for c in counts.tolist())
             assert est == hits / reps
+
+    def test_seed_path_entries_are_nonnegative_integers(self):
+        assert derive_seed(1, np.int64(2)) == derive_seed(1, 2)
+        for entry in (2.9, True, -1, "2"):
+            with pytest.raises(ValueError, match="seed path entry"):
+                derive_seed(1, entry)
 
 
 def _no_sampling(*args):

@@ -72,6 +72,8 @@ class TestConstruction:
     def test_not_normalized_rejected(self):
         with pytest.raises(NotNormalized):
             make_distribution([0.3, 0.3])
+        with pytest.raises(NotNormalized, match="exceeds 1"):  # not clamped to (1.0, 0.0)
+            ProbabilityVector((1.5, 0.0))
 
     def test_negative_rejected(self):
         with pytest.raises(NegativeWeight):
@@ -98,6 +100,10 @@ class TestConstruction:
         assert ChoiceSpace(("good", "evil")).dimension == 2
         with pytest.raises(ValueError):
             ChoiceSpace(("a", "a"))
+        with pytest.raises(ValueError, match="at least one"):
+            ChoiceSpace(())
+        with pytest.raises(ValueError, match="strings"):
+            ChoiceSpace((None, 1.5))
 
     @pytest.mark.parametrize("bad", [-0.01, 1.01, float("nan"), "0.5", True, None])
     @pytest.mark.parametrize("entry", list(SIGMA_ENTRIES))

@@ -41,8 +41,7 @@ CONFIGS = {
         "seed": 2012,
     },
     # Outcome d is impossible under the null and hit at every sigma > 0;
-    # alpha above 1/2 takes critical_band's checked-edge branch; three
-    # blocks per estimate, the last one partial.
+    # alpha is above 1/2; three blocks per estimate, the last one partial.
     "power_edges": {
         "labels": ["a", "b", "c", "d"],
         "nature": [0.5, 0.3, 0.2, 0.0],

@@ -1,13 +1,16 @@
 """Checks for the in-house incomplete gamma / chi-squared tail.
 
-The oracle is independent of the shipped series/continued-fraction code:
-for half-integer shape parameters the upper regularized gamma has closed
-forms built from erfc and the recurrence
+``oracle_gamma_q`` builds Q(a, x) for half-integer shapes from erfc and
+the recurrence
 
     Q(a + 1, x) = Q(a, x) + x^a e^-x / Gamma(a + 1),   Q(1/2, x) = erfc(sqrt(x))
     Q(1, x)     = e^-x
 
-which covers every chi-squared dof via Q(dof/2, x/2).
+which covers every chi-squared dof via Q(dof/2, x/2).  That is the same
+closed form ``regularized_gamma_q`` ships, written independently, so it
+pins the formula's bits but cannot catch an error in the formula itself.
+The independent oracles are scipy and mpmath (40 digits), further down;
+those tests skip where the package is not installed.
 """
 
 import math
@@ -76,8 +79,7 @@ def test_edges_and_complements():
 
 
 def test_huge_statistics_have_a_zero_tail():
-    # Beyond ~1e18 the continued fraction's ratios can cycle 1 ulp around 1
-    # forever; at these sizes the tail has long underflowed.
+    # At these sizes every term of the sum underflows.
     for x in (4.0833333333333335e263, 1.1298418899047351e18, 1e300, 1.7e308):
         for dof in (1, 2, 5):
             assert chi_squared_sf(x, dof) == 0.0
@@ -91,34 +93,58 @@ def test_monotone_in_statistic():
 def test_invalid_arguments():
     with pytest.raises(ValueError):
         chi_squared_sf(-1.0, 2)
-    with pytest.raises(ValueError, match="nonnegative"):  # not 500 continued-fraction steps
+    with pytest.raises(ValueError, match="nonnegative"):
         chi_squared_sf(math.nan, 2)
     with pytest.raises(ValueError):
         chi_squared_sf(1.0, 0)
-    with pytest.raises(ValueError):
-        regularized_gamma_q(0.0, 1.0)
-    with pytest.raises(ValueError):
-        regularized_gamma_q(1.0, -0.5)
+    for shape in (0.0, -0.5, 2.7, 0.3, math.nan, math.inf):
+        with pytest.raises(ValueError, match="shape parameter"):
+            regularized_gamma_q(shape, 1.0)
+    for x in (-0.5, math.nan):
+        with pytest.raises(ValueError, match="argument"):
+            regularized_gamma_q(1.0, x)
 
 
-# Cross-checks against scipy, an independent implementation.  scipy is a
-# test-only oracle; these tests skip where it is not installed.
+# Cross-checks against scipy and mpmath, independent implementations.  They
+# are test-only oracles; these tests skip where they are not installed.
 ORACLE_DOFS = [1, 2, 3, 4, 5, 7, 10, 15, 30, 60, 100, 300, 1000]
 ORACLE_ALPHAS = [1e-300, 1e-100, 1e-12, 1e-6, 1e-3, 0.01, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999]
+ORACLE_STATS = [1e-8, 1e-3, 0.1, 0.5, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0, 1400.0, 3000.0]
+
+
+def oracle_statistics(dof):
+    return ORACLE_STATS + [dof * f for f in (0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 4.0)]
 
 
 @pytest.mark.parametrize("dof", ORACLE_DOFS)
 def test_chi_squared_sf_matches_scipy_gammaincc(dof):
     special = pytest.importorskip("scipy.special")
-    stats = [1e-8, 1e-3, 0.1, 0.5, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0, 1400.0, 3000.0]
-    stats += [dof * f for f in (0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 4.0)]
-    for x in stats:
+    for x in oracle_statistics(dof):
         expected = float(special.gammaincc(dof / 2.0, x / 2.0))
         got = chi_squared_sf(x, dof)
         if expected > 1e-290:
             assert got == pytest.approx(expected, rel=1e-8), (dof, x)
         else:
             assert got <= 1e-280, (dof, x, got)
+
+
+# dof 7,381 and 20,000 at 0.98-1.02 x dof: the largest exponents, where
+# rounding in each term's s log x - x - lgamma(s + 1) weighs most.
+@pytest.mark.parametrize("dof, statistics", [
+    *(pytest.param(dof, oracle_statistics(dof), id=str(dof)) for dof in ORACLE_DOFS),
+    *(pytest.param(dof, [dof * f for f in (0.98, 0.99, 1.0, 1.01, 1.02)], id=f"{dof}-near-dof")
+      for dof in (7381, 20_000)),
+])
+def test_chi_squared_sf_matches_mpmath(dof, statistics):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for x in statistics:
+            expected = mpmath.gammainc(mpmath.mpf(dof) / 2, mpmath.mpf(x) / 2, mpmath.inf, regularized=True)
+            got = chi_squared_sf(x, dof)
+            if expected > 1e-300:
+                assert abs(got - expected) <= 1e-11 * expected, (dof, x, got, float(expected))
+            else:
+                assert got <= 1e-290, (dof, x, got)
 
 
 @pytest.mark.parametrize("dof", ORACLE_DOFS)
