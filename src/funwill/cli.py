@@ -69,7 +69,7 @@ from .errors import (
     IoFailure,
     UnreachableGuidance,
 )
-from .seeding import derive_seed, validate_seed
+from .seeding import derive_seeds, validate_seed
 
 logger = logging.getLogger("funwill")
 
@@ -307,9 +307,11 @@ def run_collapse(config: ExperimentConfig) -> ResultRecord:
     Each row takes its outcome weights and completeness residual from
     ``collapse._realized_rows`` and records the residual, the empirical
     frequencies of ``trials`` collapses (in the p_prime columns) and their
-    entropy.  Row i draws from ``default_rng(derive_seed(seed, i))``; after
-    the last draw, one ``pearson_tests`` call adds every row's chi-squared
-    report against the baseline (the Born null).  Any row replays alone
+    entropy.  Row i draws from a generator in the state of
+    ``default_rng(derive_seed(seed, i))``, which ``derive_seeds`` derives
+    for all rows in batches; after the last draw, one ``pearson_tests``
+    call adds every row's chi-squared report against the baseline (the
+    Born null).  Any row replays alone
     through ``build_povm``, ``outcome_distribution``, ``simulate_trials``
     and ``chi_squared_test``.
     """
@@ -320,8 +322,9 @@ def run_collapse(config: ExperimentConfig) -> ResultRecord:
     plan = None
     cells, rows = [], []
     realized = _realized_rows(nature, understanding, sigmas)
-    for i, (sigma, (weights, residual)) in enumerate(zip(sigmas, realized)):
-        counts = np.random.default_rng(derive_seed(seed, i)).multinomial(trials, weights).tolist()
+    streams = derive_seeds(seed, ((i,) for i in range(len(sigmas))), generators=True)
+    for sigma, (weights, residual), (_, rng) in zip(sigmas, realized, streams):
+        counts = rng.multinomial(trials, weights).tolist()
         if plan is None:  # after the first row's model errors, which take precedence
             plan = pooling_plan(nature, trials)
         rows.append(counts)
@@ -341,7 +344,7 @@ def run_power(config: ExperimentConfig) -> ResultRecord:
         raise ConfigInvalid("reps", f"power estimates need at least {MIN_POWER_REPS} replications")
     sigmas = config.sigmas
     cells = _analytics(nature, understanding, sigmas)
-    seeds = [derive_seed(seed, i) for i in range(len(sigmas))]
+    seeds = list(derive_seeds(seed, ((i,) for i in range(len(sigmas)))))
     powers = _power_curve(nature, understanding, sigmas, seeds, trials, config.alpha, reps, config.noise)
     for row, power in zip(cells, powers):
         row["power"] = power
@@ -391,11 +394,22 @@ def render_csv(record: ResultRecord) -> str:
 
 
 def _json_cell(value) -> str:
-    """A flat row's value as ``json.dumps`` writes it after 12-digit rounding."""
+    """A flat row's value as ``json.dumps`` writes it after 12-digit rounding.
+
+    json writes a finite float by ``float.__repr__``: the shortest decimal
+    that reads back to it.  When the 12-digit text has a "." and no "e",
+    it is already that decimal.  Its value lies in [1e-4, 1e12), where the
+    doubles are normal and ``.12g`` and ``repr`` both write fixed notation;
+    and distinct decimals of at most 15 digits read back to distinct normal
+    doubles, so no shorter decimal reads back to the same one.  Integral
+    values ("3", "-0"), exponent forms (including [1e12, 1e16), where
+    ``repr`` writes fixed notation) and subnormals go through ``repr``.
+    """
     if value is None:
         return "null"
     if isinstance(value, float) and math.isfinite(value):
-        return repr(float(f"{value:.12g}"))  # json writes finite floats by float.__repr__
+        text = f"{value:.12g}"
+        return text if "." in text and "e" not in text else repr(float(text))
     return json.dumps(_round12(value))
 
 

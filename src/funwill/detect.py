@@ -34,14 +34,11 @@ from .distributions import (
     ProbabilityVector, _blend_weights, _check_dims, _count, _epsilon, _level, _number, _unit_interval,
 )
 from .errors import DegenerateNull, InsufficientExpected
-from .seeding import derive_seed, validate_seed
+from .seeding import BLOCK, derive_seed, validate_seed
 from .special import chi_squared_isf, chi_squared_sf
 
 # Pearson cells need expected count >= POOL_THRESHOLD; smaller ones pool.
 POOL_THRESHOLD = 5.0
-
-# Replications drawn per seeded block by the Monte Carlo estimators.
-BLOCK = 1024
 
 # Fewest replications a detection-power estimate takes.
 MIN_POWER_REPS = 100

@@ -373,6 +373,10 @@ SWEEP16_CFG = {
     "seed": 1414,
 }
 
+# The same model at the benchmark's 101 sigma points: enough rows that
+# collapse derives its row streams in a batch.
+SWEEP101_CFG = {**SWEEP16_CFG, "sigma": {"start": 0.0, "stop": 1.0, "steps": 101}}
+
 # Outcome 3 is expected 3 times in 1000 trials, so Pearson pools it, and
 # outcome 4 has probability zero under both vectors: an impossible cell.
 POOLED_CFG = {
@@ -417,7 +421,9 @@ def reference_rows(kind, config):
 class TestSweepEquivalence:
     """The array-native sweeps give exactly the rows of the per-row API."""
 
-    @pytest.mark.parametrize("doc", [SWEEP16_CFG, POOLED_CFG, SAINT_CFG], ids=["sweep16", "pooled", "saint"])
+    @pytest.mark.parametrize(
+        "doc", [SWEEP16_CFG, SWEEP101_CFG, POOLED_CFG, SAINT_CFG], ids=["sweep16", "sweep101", "pooled", "saint"]
+    )
     @pytest.mark.parametrize("runner", [run_distort, run_collapse], ids=["distort", "collapse"])
     def test_rows_equal_the_per_row_api(self, runner, doc):
         config = build_config(doc)
@@ -427,9 +433,15 @@ class TestSweepEquivalence:
         from funwill import cli
 
         plans, seeds = [], []
-        pooling_plan, derive = cli.pooling_plan, cli.derive_seed
+        pooling_plan, derive = cli.pooling_plan, cli.derive_seeds
+
+        def derive_seeds(seed, paths, **kwargs):
+            paths = list(paths)
+            seeds.extend((seed, *path) for path in paths)
+            return derive(seed, paths, **kwargs)
+
         monkeypatch.setattr(cli, "pooling_plan", lambda *a: plans.append(a) or pooling_plan(*a))
-        monkeypatch.setattr(cli, "derive_seed", lambda *a: seeds.append(a) or derive(*a))
+        monkeypatch.setattr(cli, "derive_seeds", derive_seeds)
         config = build_config(SWEEP16_CFG)
         run_collapse(config)
         assert plans == [(config.nature, config.trials)]

@@ -114,11 +114,15 @@ SWEEP16 = {
     "seed": 1414,
 }
 CONFIGS["distort_sweep16"] = CONFIGS["collapse_sweep16"] = SWEEP16
+# The same model at 101 sigma points, as many rows as the benchmark's sweep:
+# enough rows that ``collapse`` derives its row streams in a batch.
+SWEEP101 = {**SWEEP16, "sigma": {"start": 0.0, "stop": 1.0, "steps": 101}}
+CONFIGS["collapse_sweep101"] = SWEEP101
 
 OUTPUTS = (
     "collapse.csv", "collapse.json", "distort.csv", "distort.json", "distort_ints.json",
     "lln.csv", "lln.json", "lln_ints.json", "power.csv", "power.json",
-    "distort_sweep16.json", "collapse_sweep16.json", "power_edges.csv",
+    "distort_sweep16.json", "collapse_sweep16.json", "collapse_sweep101.json", "power_edges.csv",
 )
 
 DRAW_SEED = 1789

@@ -1,6 +1,6 @@
 """Property tests: invariants of the blend, the collapse realization, the
-batched detector, the weak-law outputs and the JSON emitter, over
-generated inputs.
+batched detector, the weak-law outputs, the batched seed streams and the
+JSON emitter, over generated inputs.
 
 Examples are derandomized, so every run checks the same inputs, and capped
 so that the module stays a small share of the suite's time.
@@ -10,6 +10,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -37,7 +38,7 @@ from funwill.detect import (
 )
 from funwill.distributions import ProbabilityVector, _blend_weights, exercise_will, make_distribution
 from funwill.errors import ConfigInvalid, InsufficientExpected
-from funwill.seeding import validate_seed
+from funwill.seeding import BATCH_MIN, MAX_SEED, derive_seed, derive_seeds, validate_seed
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -157,6 +158,52 @@ def test_weak_law_outputs_are_never_nan(inputs, epsilon, n):
     assert 0.0 <= prob <= 1.0
 
 
+# Seeds and path entries of one and two 32-bit words, with the word edges.
+stream_seeds = st.one_of(st.integers(0, MAX_SEED), st.sampled_from([0, 2**32 - 1, 2**32, MAX_SEED]))
+path_entries = st.one_of(
+    st.integers(0, 2**32 - 1), st.integers(2**32, 2**63 - 1), st.sampled_from([0, 2**32 - 1, 2**32, 2**63 - 1])
+)
+# Runs on both sides of the batch break-even, paths of mixed lengths.
+stream_paths = st.integers(1, 2 * BATCH_MIN + 4).flatmap(
+    lambda rows: st.lists(st.lists(path_entries, min_size=1, max_size=3).map(tuple), min_size=rows, max_size=rows)
+)
+
+
+@PROPERTY
+@given(stream_seeds, stream_paths)
+@example(MAX_SEED, [(i,) for i in range(BATCH_MIN)])
+@example(0, [(i,) for i in range(BATCH_MIN - 1)])
+def test_batched_streams_equal_numpy_seeding(seed, paths):
+    """``derive_seeds`` gives ``derive_seed``'s seeds and generators in the state of
+    ``default_rng`` of them, which draw the same counts row after row."""
+    want = [derive_seed(seed, *path) for path in paths]
+    assert list(derive_seeds(seed, paths)) == want
+    rows = 0
+    for s, (got, rng) in zip(want, derive_seeds(seed, iter(paths), generators=True)):
+        reference = np.random.default_rng(s)
+        assert got == s
+        assert rng.bit_generator.state == reference.bit_generator.state
+        draws = [g.multinomial(1000, [0.2, 0.3, 0.5]).tolist() for g in (rng, reference)]
+        assert draws[0] == draws[1]
+        rows += 1
+    assert rows == len(paths)
+
+
+@pytest.mark.parametrize("rows", [1, BATCH_MIN])
+@pytest.mark.parametrize("seed, entry", [
+    (-1, 0), (MAX_SEED + 1, 0), (True, 0), (1.0, 0), ("1", 0),
+    (1, -1), (1, 2**63), (1, True), (1, 2.0), (1, None),
+])
+def test_batched_streams_refuse_what_derive_seed_refuses(rows, seed, entry):
+    paths = [(i,) for i in range(rows - 1)] + [(0, entry)]
+    with pytest.raises(ValueError) as scalar:
+        derive_seed(seed, 0, entry)
+    for generators in (False, True):
+        with pytest.raises(ValueError) as batched:
+            list(derive_seeds(seed, paths, generators=generators))
+        assert str(batched.value) == str(scalar.value)
+
+
 def oracle_json(record: ResultRecord) -> str:
     """``json.dumps(indent=2)`` of the record with every top-level config
     value and every row value that is a float rounded to 12 significant digits."""
@@ -174,10 +221,16 @@ def oracle_json(record: ResultRecord) -> str:
 
 # Values where 12-digit rounding and json's float repr part ways: non-finite
 # values, -0.0, the smallest subnormal, [1e12, 1e16) where .12g writes an
-# exponent and repr does not, and 1e16 and up where both do.
+# exponent and repr does not, and 1e16 and up where both do.  The emitter
+# copies .12g's text when it is fixed notation with a ".", so values on both
+# sides of its edges at 1e-4 and 1e12 (before and after rounding) and the
+# smallest normal double are drawn too.
 cell_floats = st.one_of(
     st.floats(),
-    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e12, 123456789012345.67, 1e16]),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e12, 123456789012345.67, 1e16,
+                     9.99999999999995e-05, 999999999999.5, 2.2250738585072014e-308]),
+    st.floats(-1e13, 1e13),
+    st.floats(1e-6, 1e-3),
     st.floats(1e12, 1e16, exclude_max=True),
     st.floats(min_value=1e16),
     st.floats(max_value=-1e12),

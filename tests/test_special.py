@@ -14,6 +14,7 @@ those tests skip where the package is not installed.
 """
 
 import math
+import time
 
 import pytest
 
@@ -83,6 +84,21 @@ def test_huge_statistics_have_a_zero_tail():
     for x in (4.0833333333333335e263, 1.1298418899047351e18, 1e300, 1.7e308):
         for dof in (1, 2, 5):
             assert chi_squared_sf(x, dof) == 0.0
+
+
+# The sum stops at the first term past its peak that underflows to 0.  Large
+# dof at small statistics skips almost every term; statistics near dof keep
+# them all.
+@pytest.mark.parametrize("dof", [1, 2, 3, 60, 99, 1000, 4001, 20_000])
+def test_early_stop_keeps_the_full_sums_bits(dof):
+    for x in POINTS + [dof * f for f in (0.25, 0.5, 0.9, 1.0, 1.1, 3.0)]:
+        assert chi_squared_sf(x, dof) == oracle_gamma_q(dof / 2.0, x / 2.0), (dof, x)
+
+
+def test_a_huge_dof_costs_only_the_terms_before_underflow():
+    start = time.perf_counter()
+    assert chi_squared_sf(1.0, 2 * 10**8) == 1.0
+    assert time.perf_counter() - start < 1.0
 
 
 def test_monotone_in_statistic():
