@@ -18,13 +18,13 @@ statistics.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 
 import numpy as np
 
-from .collapse import _pick
+from .collapse import _thresholds
 from .distributions import (
     ChoiceSpace, ProbabilityVector, _check_dims, _unit_interval, exercise_will, unpredictability,
 )
@@ -63,9 +63,10 @@ class AgentProfile:
         return exercise_will(self.nature, self.understanding, self.will)
 
     @cached_property
-    def cumulative(self) -> tuple[float, ...]:
-        """Running sums of ``effective``, the inverse-CDF table ``choose`` samples."""
-        return tuple(accumulate(self.effective.weights))
+    def thresholds(self) -> tuple[float, ...]:
+        """The first d-1 running sums of ``effective``: the inverse-CDF table
+        ``choose`` searches, as ``collapse`` searches its pair's table."""
+        return _thresholds(self.effective.weights)
 
 
 def archetype(kind: str, nature: ProbabilityVector | None = None) -> AgentProfile:
@@ -89,8 +90,12 @@ def archetype(kind: str, nature: ProbabilityVector | None = None) -> AgentProfil
 
 
 def choose(agent: AgentProfile, rng: np.random.Generator) -> str:
-    """Sample one outcome label from the agent's effective distribution."""
-    return agent.space.labels[_pick(agent.cumulative, rng.random())]
+    """Sample one outcome label from the agent's effective distribution.
+
+    One uniform from ``rng`` per call, searched in ``agent.thresholds``: a
+    uniform at or above the total picks the last label.
+    """
+    return agent.space.labels[bisect_right(agent.thresholds, rng.random())]
 
 
 def agent_unpredictability(agent: AgentProfile) -> float:

@@ -44,16 +44,27 @@ COMPLETENESS_TOL = 1e-9
 
 @dataclass(frozen=True)
 class AmplitudeState:
-    """Real nonnegative amplitude vector with unit 2-norm."""
+    """Real nonnegative amplitude vector with unit 2-norm.
+
+    The hash of ``amplitudes`` is computed once, at construction, and is
+    not a field: equal states still compare and hash equal.
+    """
 
     amplitudes: tuple[float, ...]
 
     def __post_init__(self):
         amps = tuple(_nonnegative(self.amplitudes, "amplitude"))
-        norm_sq = math.fsum(a * a for a in amps)
+        try:
+            norm_sq = math.fsum(a * a for a in amps)
+        except OverflowError:  # fsum raises when the sum passes the largest double
+            raise NotNormalized("squared amplitudes sum past the largest double, not to 1") from None
         if abs(norm_sq - 1.0) > 1e-12:
             raise NotNormalized(f"squared amplitudes sum to {norm_sq!r}, not 1")
         object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "_hash", hash(amps))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def dimension(self) -> int:
@@ -76,7 +87,8 @@ class PovmSet:
     """Diagonal measurement operators M_j = c_j |j><j|, held as their coefficients.
 
     Whether the set was built for a state shows only in the completeness
-    residual against it (``check_completeness``).
+    residual against it (``check_completeness``).  As with AmplitudeState,
+    the hash of ``coefficients`` is computed once, at construction.
     """
 
     coefficients: tuple[float, ...]
@@ -84,6 +96,10 @@ class PovmSet:
     def __post_init__(self):
         coeffs = tuple(_nonnegative(self.coefficients, "coefficient"))
         object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "_hash", hash(coeffs))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def dimension(self) -> int:
@@ -203,25 +219,29 @@ def _realized(coefficients, amplitudes) -> tuple[list[float], float]:
     return [q / total for q in raw], residual
 
 
-def _pick(cdf, u: float) -> int:
-    """Inverse-CDF lookup: the first j with u < cdf[j], else the last outcome.
+def _thresholds(weights) -> tuple[float, ...]:
+    """The first d-1 running sums of d weights: the inverse-CDF table of every sampler.
 
-    The fallback catches u at or above a cumulative total that rounding
-    left just below 1.
+    ``bisect_right(thresholds, u)`` is the index the sequential loop
+    ``acc += w; if u < acc: return j`` returns, and d-1 when no running sum
+    before the last exceeds u.  So a u at or above a total that rounding
+    left just below 1 falls to the last outcome with no clamp: the total
+    itself is never compared.
     """
-    return min(bisect_right(cdf, u), len(cdf) - 1)
+    return tuple(accumulate(weights[:-1]))
 
 
 @functools.lru_cache(maxsize=128)
 def _table(povm: PovmSet, state: AmplitudeState) -> tuple[tuple, tuple, tuple[CollapseOutcome, ...]]:
-    """(weights, running sums, one shared outcome per index) of a validated pair.
+    """(weights, ``_thresholds``, one shared outcome per index) of a validated pair.
 
-    Memoized: the classes are frozen values and equal pairs give identical
-    bits.  Errors are not cached, so a bad pair raises on every call.
+    Memoized: the classes are frozen values, hashed once each, and equal
+    pairs give identical bits.  Errors are not cached, so a bad pair raises
+    on every call.
     """
     weights = tuple(_realized(povm.coefficients, state.amplitudes)[0])
     d = len(weights)
-    return weights, tuple(accumulate(weights)), tuple(CollapseOutcome(j, d) for j in range(d))
+    return weights, _thresholds(weights), tuple(CollapseOutcome(j, d) for j in range(d))
 
 
 def outcome_distribution(povm: PovmSet, state: AmplitudeState) -> ProbabilityVector:
@@ -241,13 +261,16 @@ def collapse(
     """Sample one directed collapse: outcome j, with post-state |j>.
 
     j is drawn by inverse-CDF over ``outcome_distribution`` using a single
-    uniform from the caller's stream.  No global randomness: reproducibility
-    is entirely the caller's seed discipline.  Each pair is validated once
-    (memoized); a bad pair raises on every call, before any draw.  Outcomes
-    are shared immutable instances: compare with ``==`` or ``.index``.
+    uniform from the caller's stream: a binary search of the pair's d-1
+    thresholds (``_thresholds``), so a uniform at or above the total lands
+    on the last outcome.  No global randomness: reproducibility is entirely
+    the caller's seed discipline.  Each pair is validated once (memoized on
+    hashes computed at construction); a bad pair raises on every call,
+    before any draw.  Outcomes are shared immutable instances: compare with
+    ``==`` or ``.index``.
     """
-    _, cdf, outcomes = _table(povm, state)
-    return outcomes[_pick(cdf, rng.random())]
+    _, thresholds, outcomes = _table(povm, state)
+    return outcomes[bisect_right(thresholds, rng.random())]
 
 
 def collapse_many(
@@ -255,11 +278,13 @@ def collapse_many(
 ) -> np.ndarray:
     """Outcome indices of ``size`` directed collapses, as an integer array.
 
-    Searches the memoized CDF of ``collapse`` with exactly ``size`` uniforms
-    from ``rng``, so the result equals the indices of ``size`` sequential
-    ``collapse`` calls on the same generator (``Generator.random(size)``
-    yields the same doubles as repeated scalar calls).
+    Searches the memoized d-1 thresholds of ``collapse`` with exactly
+    ``size`` uniforms from ``rng`` (``searchsorted(side="right")`` is
+    ``bisect_right``), so the result equals the indices of ``size``
+    sequential ``collapse`` calls on the same generator
+    (``Generator.random(size)`` yields the same doubles as repeated scalar
+    calls).
     """
     size = _count(size, "size", least=0)
-    cdf = np.asarray(_table(povm, state)[1])
-    return np.minimum(np.searchsorted(cdf, rng.random(size), side="right"), len(cdf) - 1)
+    thresholds = np.asarray(_table(povm, state)[1])
+    return np.searchsorted(thresholds, rng.random(size), side="right")

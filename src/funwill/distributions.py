@@ -157,12 +157,24 @@ def make_distribution(weights, normalize: bool = False) -> ProbabilityVector:
     """Build a ProbabilityVector from raw weights.
 
     With ``normalize`` the weights are divided by their sum; otherwise they
-    must already sum to 1 within ``NORMALIZATION_TOL``.
+    must already sum to 1 within ``NORMALIZATION_TOL``.  Weights whose sum
+    passes the largest double are normalized after dividing them by a power
+    of two near the largest weight, so any finite weights normalize; other
+    weights are divided by their sum as they are.
 
-    Raises NegativeWeight, AllZero, or NotNormalized.
+    Raises NegativeWeight, AllZero, or NotNormalized (also for weights whose
+    sum passes the largest double without ``normalize``).
     """
     ws = _nonnegative(weights, "weight")
-    total = math.fsum(ws)
+    try:
+        total = math.fsum(ws)
+    except OverflowError:  # fsum raises when the sum passes the largest double
+        if not normalize:
+            raise NotNormalized("weights sum past the largest double, not to 1") from None
+        # One below frexp's exponent, as in detect._scaled_moments: the scaled sum stays below 2d.
+        scale = math.ldexp(1.0, math.frexp(max(ws))[1] - 1)
+        ws = [w / scale for w in ws]
+        total = math.fsum(ws)
     if total == 0.0:
         raise AllZero("weights sum to zero")
     if normalize:

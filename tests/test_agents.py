@@ -9,6 +9,8 @@ The headline facts these tests pin down:
 so unpredictability alone cannot reveal how much will an agent has.
 """
 
+from itertools import accumulate
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from funwill.distributions import (
     unpredictability,
 )
 from funwill.errors import DimensionMismatch
+from test_collapse import _FixedUniform, boundary_uniforms
 
 
 class TestArchetypes:
@@ -172,16 +175,16 @@ def test_choose_matches_reference_loop(kind):
 
 
 def test_choose_on_cumulative_boundaries():
-    """u equal to a running sum picks the next label; at the total, the last."""
-    class FixedUniform:
-        def random(self):
-            return value
-
-    for kind in ("saint", "hardcore_criminal"):
-        agent = archetype(kind)
-        for value in agent.cumulative:
-            assert choose(agent, FixedUniform()) == _reference_choose(agent, FixedUniform())
-        assert choose(agent, FixedUniform()) == agent.space.labels[-1]
+    """u equal to a running sum picks the next label; at or above the total, the last."""
+    particle_nature = make_distribution([0.0, 0.1, 0.0, 0.6, 0.3, 0.0])
+    for kind in ARCHETYPE_KINDS:
+        agent = archetype(kind, nature=particle_nature if kind == "particle" else None)
+        weights = agent.effective.weights
+        for value in boundary_uniforms(weights):
+            assert choose(agent, _FixedUniform(value)) == _reference_choose(agent, _FixedUniform(value))
+        total = list(accumulate(weights))[-1]
+        for value in (total, total + 1e-9):
+            assert choose(agent, _FixedUniform(value)) == agent.space.labels[-1]
 
 
 def test_effective_distribution_cached_and_immutable():

@@ -194,6 +194,15 @@ class TestConfigValidation:
         assert exc.value.field == "understanding"
         assert str(exc.value) == "understanding: has 3 entries, but labels has 2"
 
+    @pytest.mark.parametrize("key", ["nature", "understanding"])
+    def test_overflowing_weights_are_a_config_error(self, tmp_path, caplog, key):
+        doc = {**SAINT_CFG, key: [1e308, 1e308], "out": str(tmp_path / "o.csv")}
+        with pytest.raises(ConfigInvalid) as exc:
+            build_config(doc)
+        assert exc.value.field == key
+        assert main(["distort", "--config", write_cfg(tmp_path, doc), "--quiet"]) == 2
+        assert f"config error: {key}: weights sum past the largest double" in caplog.text
+
     def test_dimension_cross_check_names_the_mismatched_field(self, tmp_path, caplog):
         doc = {**LLN_CFG, "payoff": [1, 0, 3], "out": str(tmp_path / "l.csv")}
         assert main(["lln", "--config", write_cfg(tmp_path, doc), "--quiet"]) == 2

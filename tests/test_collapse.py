@@ -1,7 +1,10 @@
 """Directed-collapse pipeline: state prep, nonlinear measurement, sampling."""
 
+import copy
+import dataclasses
 import importlib
 import math
+import pickle
 from itertools import accumulate
 
 import numpy as np
@@ -53,6 +56,8 @@ class TestPrepareState:
     def test_norm_enforced(self):
         with pytest.raises(NotNormalized):
             AmplitudeState((0.5, 0.5))
+        with pytest.raises(NotNormalized, match="largest double"):
+            AmplitudeState((1e154, 1e154))
         with pytest.raises(ValueError):
             AmplitudeState((1.0, -0.1))
 
@@ -272,6 +277,15 @@ class _FixedUniform:
         return self.value if size is None else np.full(size, self.value)
 
 
+def boundary_uniforms(weights) -> list[float]:
+    """Each of the d running sums of ``weights`` (``accumulate``, as the
+    reference loop adds them), the doubles on either side of each, and
+    total + 1e-9: every uniform where an inverse-CDF lookup can go wrong."""
+    sums = list(accumulate(weights))
+    probes = [v for s in sums for v in (math.nextafter(s, -math.inf), s, math.nextafter(s, math.inf))]
+    return probes + [sums[-1] + 1e-9]
+
+
 def _sampler_cases():
     """(povm, state) pairs: random triples, plus one with a zero-probability outcome."""
     rng = np.random.default_rng(5)
@@ -340,13 +354,14 @@ class TestSampler:
         u at or above the total falls through to the last outcome."""
         for povm, state in _sampler_cases():
             q = outcome_distribution(povm, state).weights
-            cdf = list(accumulate(q))
-            for value in cdf + [cdf[-1] + 1e-9]:
+            for value in boundary_uniforms(q):
                 stub = _FixedUniform(value)
                 want = _reference_collapse_index(povm, state, stub)
                 assert collapse(povm, state, stub).index == want
                 assert collapse_many(povm, state, stub, 4).tolist() == [want] * 4
-            assert want == len(q) - 1
+            total = list(accumulate(q))[-1]
+            for value in (total, total + 1e-9):
+                assert collapse(povm, state, _FixedUniform(value)).index == len(q) - 1
 
     @pytest.mark.parametrize("sample", ["collapse", "collapse_many"])
     def test_errors_raised_before_any_draw(self, sample):
@@ -417,6 +432,54 @@ class TestTableMemo:
 
     def test_cache_is_bounded(self):
         assert _table.cache_info().maxsize is not None
+
+    def test_repeated_draws_hit_the_memo(self):
+        povm, state = _sampler_cases()[0]
+        _table.cache_clear()
+        rng = np.random.default_rng(8)
+        for _ in range(1000):
+            collapse(povm, state, rng)
+        info = _table.cache_info()
+        assert (info.hits, info.misses) == (999, 1)
+
+
+class TestHashOnce:
+    """PovmSet and AmplitudeState hash their field once, at construction."""
+
+    def test_equal_twins_hash_as_their_field(self):
+        for povm, state in _sampler_cases():
+            for value, twin, field in (
+                (povm, PovmSet(list(povm.coefficients)), povm.coefficients),
+                (state, AmplitudeState(list(state.amplitudes)), state.amplitudes),
+            ):
+                assert twin == value and hash(twin) == hash(value) == hash(field)
+
+    def test_signed_zeros_compare_and_hash_equal(self):
+        pairs = [
+            (AmplitudeState((-0.0, 1.0, 0.0)), AmplitudeState((0.0, 1.0, -0.0))),
+            (PovmSet((-0.0, 1.0)), PovmSet((0.0, 1.0))),
+        ]
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b)
+        povm = PovmSet((1.0, 1.0, 1.0))
+        assert [collapse(povm, state, np.random.default_rng(3)).index for state in pairs[0]] == [1, 1]
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v)), dataclasses.replace,
+    ])
+    def test_copies_keep_the_hash(self, clone):
+        povm, state = _sampler_cases()[0]
+        for value in (povm, state):
+            twin = clone(value)
+            assert twin == value and hash(twin) == hash(value)
+
+    def test_fields_stay_frozen(self):
+        povm, state = _sampler_cases()[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            povm.coefficients = (1.0,) * povm.dimension
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.amplitudes = (1.0,)
+        assert "_hash" not in repr(povm) and "_hash" not in repr(state)
 
 
 def test_basis_states_are_shared():

@@ -75,6 +75,22 @@ class TestConstruction:
         with pytest.raises(NotNormalized, match="exceeds 1"):  # not clamped to (1.0, 0.0)
             ProbabilityVector((1.5, 0.0))
 
+    def test_an_overflowing_sum_is_not_normalized(self):
+        for weights in ([1e308, 1e308], [1.7976931348623157e308] * 3):
+            with pytest.raises(NotNormalized, match="largest double"):
+                make_distribution(weights)
+
+    def test_normalize_scales_past_an_overflowing_sum(self):
+        assert make_distribution([1e308, 1e308], normalize=True).weights == (0.5, 0.5)
+        top = 1.7976931348623157e308
+        assert make_distribution([top, top, top, top], normalize=True).weights == (0.25,) * 4
+        assert make_distribution([top, 5e-324, top], normalize=True).weights == (0.5, 0.0, 0.5)
+        # A sum that stays finite is not scaled, so a weight that divides to a
+        # subnormal keeps the bits of one division by the sum.
+        for weights in ([3.0, 1.0, 7.0], [881234.0964544376, 6.864838541790798e-306, 639646.0613948228]):
+            total = math.fsum(weights)
+            assert make_distribution(weights, normalize=True).weights == tuple(w / total for w in weights)
+
     def test_negative_rejected(self):
         with pytest.raises(NegativeWeight):
             make_distribution([-0.1, 1.1])

@@ -1,6 +1,7 @@
 """Property tests: invariants of the blend, the collapse realization, the
-batched detector, the weak-law outputs, the batched seed streams and the
-JSON emitter, over generated inputs.
+single-draw samplers, the batched detector, the weak-law outputs, the
+batched seed streams, the JSON emitter and the CLI's exit codes, over
+generated inputs.
 
 Examples are derandomized, so every run checks the same inputs, and capped
 so that the module stays a small share of the suite's time.
@@ -8,17 +9,22 @@ so that the module stays a small share of the suite's time.
 
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from funwill.cli import ResultRecord, build_config, render_json
+from funwill.agents import archetype, choose
+from funwill.cli import ResultRecord, build_config, main, render_json
 from funwill.collapse import (
     COMPLETENESS_TOL,
     build_povm,
     check_completeness,
+    collapse,
+    collapse_many,
     outcome_distribution,
     prepare_state,
 )
@@ -39,6 +45,8 @@ from funwill.detect import (
 from funwill.distributions import ProbabilityVector, _blend_weights, exercise_will, make_distribution
 from funwill.errors import ConfigInvalid, InsufficientExpected
 from funwill.seeding import BATCH_MIN, MAX_SEED, derive_seed, derive_seeds, validate_seed
+from test_agents import _reference_choose
+from test_collapse import _FixedUniform, _reference_collapse_index, boundary_uniforms
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -111,6 +119,38 @@ def test_povm_complete_against_its_state_and_any_state_at_zero_will(inputs, data
     # At sigma 0 every coefficient is 1: an ordinary projective measurement.
     other = prepare_state(data.draw(distributions(nature.dimension)))
     assert check_completeness(build_povm(nature, understanding, 0.0), other) <= COMPLETENESS_TOL
+
+
+@st.composite
+def sampler_natures(draw):
+    """A distribution of 1 to 16 outcomes with zero weights, trailing ones among them."""
+    d = draw(st.integers(1, 16))
+    raw = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1.0), st.sampled_from([0.1, 1 / 3])),
+                        min_size=d, max_size=d))
+    trailing = draw(st.integers(0, d - 1))
+    raw = raw[:d - trailing] + [0.0] * trailing
+    assume(sum(raw) > 0.0)
+    return make_distribution(raw, normalize=True)
+
+
+@PROPERTY
+@given(sampler_natures(), sigmas)
+# Ten weights of 0.1 add up to 0.9999999999999999.
+@example(make_distribution([1.0] * 10, normalize=True), 0.0)
+@example(make_distribution([0.2, 0.0, 0.3, 0.5, 0.0, 0.0]), 0.5)
+@example(make_distribution([1.0]), 1.0)
+def test_single_draws_equal_the_sequential_loops_on_boundary_uniforms(nature, sigma):
+    """``collapse``, ``collapse_many`` and ``choose`` pick what the plain
+    ``acc += w; if u < acc`` loops pick at every running sum, next to it,
+    and at or above the total."""
+    povm, state = build_povm(nature, nature, sigma), prepare_state(nature)
+    for value in boundary_uniforms(outcome_distribution(povm, state).weights):
+        want = _reference_collapse_index(povm, state, _FixedUniform(value))
+        assert collapse(povm, state, _FixedUniform(value)).index == want
+        assert collapse_many(povm, state, _FixedUniform(value), 3).tolist() == [want] * 3
+    particle = archetype("particle", nature=nature)
+    for value in boundary_uniforms(particle.effective.weights):
+        assert choose(particle, _FixedUniform(value)) == _reference_choose(particle, _FixedUniform(value))
 
 
 @PROPERTY
@@ -301,3 +341,69 @@ def test_config_and_library_refuse_the_same_values(key, value):
     except ValueError:
         library_refuses = True
     assert config_refuses == library_refuses, (key, value)
+
+
+# A config every subcommand accepts; the property below spoils some of its keys.
+CLI_BASE = {
+    "labels": ["a", "b", "c"],
+    "nature": [0.5, 0.3, 0.2],
+    "understanding": [1.0, 0.0, 0.0],
+    "sigma": {"start": 0.0, "stop": 0.5, "steps": 3},
+    "trials": 200,
+    "alpha": 0.05,
+    "noise": 0.0,
+    "reps": 100,
+    "seed": 7,
+    "payoff": [1.0, 0.0, -1.0],
+    "epsilon": 0.1,
+    "n_schedule": [10, 100],
+}
+extreme_numbers = st.sampled_from([1e308, -1e308, 5e-324, -0.0, 0.0, 1.0, 2**64])
+junk = st.sampled_from([True, False, "0.5", [[0.5]], [], None])
+extremes = st.one_of(extreme_numbers, junk)
+unit_or_extreme = st.one_of(st.floats(0.0, 1.0), extreme_numbers, junk)
+# Counts stay at 1,000 or below, so that every accepted config is cheap to
+# run; power takes 100 replications or more.
+COUNTS = {
+    "trials": st.sampled_from([1, 2, 10, 100, 1000]),
+    "reps": st.sampled_from([100, 1000]),
+    "n_schedule": st.lists(st.sampled_from([1, 10, 1000]), min_size=1, max_size=3),
+}
+bad_counts = st.sampled_from([0, -1, 1.5, True, "10", [10], None])
+sweeps = st.fixed_dictionaries({
+    "start": unit_or_extreme, "stop": unit_or_extreme, "steps": st.sampled_from([1, 2, 3, 11, 0, True]),
+})
+WILD_KEYS = ("nature", "understanding", "payoff", "sigma", "alpha", "noise", "epsilon", *COUNTS)
+
+
+@st.composite
+def cli_configs(draw):
+    """``CLI_BASE`` with its counts redrawn and up to two keys spoilt: one
+    entry of a list, or the whole value."""
+    config = {**CLI_BASE, **{key: draw(counts) for key, counts in COUNTS.items()}}
+    for key in draw(st.sets(st.sampled_from(WILD_KEYS), max_size=2)):
+        value = list(config[key]) if isinstance(config[key], list) else config[key]
+        spoilt = bad_counts if key in COUNTS else unit_or_extreme
+        if isinstance(value, list) and draw(st.booleans()):
+            value[draw(st.integers(0, len(value) - 1))] = draw(spoilt)
+        elif key in COUNTS:
+            value = draw(bad_counts)
+        else:
+            value = draw(st.one_of(extremes, st.lists(unit_or_extreme, min_size=1, max_size=4), sweeps))
+        config[key] = value
+    return config
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(cli_configs())
+@example({**CLI_BASE, "nature": [1e308, 1e308]})
+@example({**CLI_BASE, "understanding": [1e308, 1e308, 1e308]})
+@example({**CLI_BASE, "nature": [0.5, 0.5, 0.0], "understanding": [0.0, 0.0, 1.0]})
+def test_the_cli_ends_only_in_a_documented_exit_code(config):
+    """Valid or not, a config ends every subcommand in 0, 2 or 3, never in a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({**config, "out": os.path.join(tmp, "out.csv")}, fh)
+        for command in ("distort", "collapse", "power", "lln"):
+            assert main([command, "--config", path, "--quiet"]) in (0, 2, 3), command
